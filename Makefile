@@ -70,11 +70,6 @@ bench:
 faults:
 	$(GO) run ./cmd/experiments -faults
 
-# Robustness-surface smoke: a small corner x chip x fault sweep through the
-# streaming engine, checkpointed and resumed, so `make check` exercises the
-# drsweep path end to end (journal create, SIGTERM-safe fold, resume
-# replay). The surface must be flat — any escape fails the run via the
-# sweep smoke benchmark above; this target checks the CLI plumbing.
 # Job-server smoke: start an in-process drserve on an ephemeral port,
 # submit the DLX over real HTTP, poll it to completion, resubmit and
 # verify the cache hit is instant and byte-identical, then drain. This is
@@ -90,6 +85,11 @@ serve:
 scale:
 	timeout 300 $(GO) run ./cmd/experiments -scale 100000
 
+# Robustness-surface smoke: a small corner x chip x fault sweep through the
+# streaming engine, checkpointed and resumed, so `make check` exercises the
+# drsweep path end to end (journal create, SIGTERM-safe fold, resume
+# replay). The surface must be flat — any escape fails the run via the
+# sweep smoke benchmark above; this target checks the CLI plumbing.
 sweep:
 	rm -f /tmp/drsweep-smoke.journal
 	$(GO) run ./cmd/drsweep -corners 2 -chips 2 -per-region 1 -quiet \

@@ -438,7 +438,7 @@ func BenchmarkFIRDesynchronize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.Desynchronize(context.Background(), d, core.Options{Period: 8})
+		res, err := core.Convert(context.Background(), d, core.Options{Period: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -459,7 +459,7 @@ func BenchmarkDesynchronizeDLX(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.Desynchronize(context.Background(), d, core.Options{Period: 4.65}); err != nil {
+		if _, err := core.Convert(context.Background(), d, core.Options{Period: 4.65}); err != nil {
 			b.Fatal(err)
 		}
 	}

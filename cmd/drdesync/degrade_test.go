@@ -3,21 +3,16 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"desync/internal/core"
-	"desync/internal/ctrlnet"
-	"desync/internal/designs"
-	"desync/internal/netlist"
 	"desync/internal/stdcells"
 	"desync/internal/verilog"
+	"desync/internal/vflow"
 )
-
-func buildDLXDesign() (*netlist.Design, error) {
-	return designs.BuildDLX(stdcells.New(stdcells.HighSpeed), designs.TestProgram())
-}
 
 // inputRegsOnly is a design the automatic grouping rejects: its only
 // flip-flops register primary inputs directly (no combinational cloud), so
@@ -31,125 +26,71 @@ module m (clk, rstn, a, b, qa, qb);
 endmodule
 `
 
-func buildFrom(t *testing.T, src string) func() (*designState, error) {
+// runCLI runs the tool with o.out set to a temporary netlist path and
+// returns the outcome and the stderr text.
+func runCLI(t *testing.T, o *runOpts) (*vflow.Outcome, string) {
 	t.Helper()
-	return func() (*designState, error) {
-		d, err := verilog.Read(src, stdcells.New(stdcells.HighSpeed), "")
-		if err != nil {
-			return nil, err
-		}
-		return &designState{d: d}, nil
+	o.out = filepath.Join(t.TempDir(), "out.v")
+	var stdout, stderr bytes.Buffer
+	out, err := run(context.Background(), *o, &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}
+	return out, stderr.String()
 }
 
 // TestFallbackSingleRegion: a grouping failure degrades to one region with
-// a warning instead of aborting the run.
+// a warning instead of aborting the run, and the netlist is still written.
 func TestFallbackSingleRegion(t *testing.T) {
-	// Direct flow attempt fails with the staged no-regions error.
-	st, err := buildFrom(t, inputRegsOnly)()
+	in := filepath.Join(t.TempDir(), "m.v")
+	if err := os.WriteFile(in, []byte(inputRegsOnly), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := runOpts{in: in, libVariant: "HS", Options: vflow.Options{Flow: core.Options{Period: 1}}}
+	out, stderr := runCLI(t, &o)
+	if !strings.Contains(stderr, "drdesync: warning: core: m: stage group: no desynchronization regions; falling back to a single region") {
+		t.Fatalf("no fallback warning, got %q", stderr)
+	}
+	if out.Result.Grouping.Groups != 1 || len(out.Degraded) != 1 || out.Degraded[0].Step != core.StageGroup {
+		t.Fatalf("regions %d, fallbacks %+v; want one region after one group fallback",
+			out.Result.Grouping.Groups, out.Degraded)
+	}
+	src, err := os.ReadFile(o.out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = core.Desynchronize(context.Background(), st.d, core.Options{Period: 1})
-	if !errors.Is(err, core.ErrNoRegions) {
-		t.Fatalf("direct flow: err = %v, want ErrNoRegions", err)
-	}
-	if core.StageOf(err) != core.StageGroup {
-		t.Fatalf("StageOf = %q, want %q", core.StageOf(err), core.StageGroup)
-	}
-
-	var warnings bytes.Buffer
-	d, res, err := desynchronizeWithFallback(context.Background(), buildFrom(t, inputRegsOnly),
-		core.Options{Period: 1}, &warnings)
+	d, err := verilog.Read(string(src), stdcells.New(stdcells.HighSpeed), "")
 	if err != nil {
-		t.Fatalf("fallback flow failed: %v", err)
-	}
-	if res.Grouping.Groups != 1 {
-		t.Fatalf("fallback regions = %d, want 1", res.Grouping.Groups)
-	}
-	if !strings.Contains(warnings.String(), "single region") {
-		t.Fatalf("no fallback warning, got %q", warnings.String())
+		t.Fatal(err)
 	}
 	if d.Top.Net("G1_mri") == nil {
 		t.Fatal("fallback design has no region-1 handshake net")
 	}
-	// The degraded run still carries a derived control network whose
-	// insert-stage claim cross-checks clean, exactly like a first-try run.
-	assertCleanCtrlnet(t, res)
-	if res.Network.ControlNet(1, "mri") == nil {
-		t.Fatal("derived network does not resolve the region-1 master request")
-	}
 }
 
-// assertCleanCtrlnet checks a fallback-produced result against the same
-// claim/derivation contract the straight-through flow enforces: a network
-// was derived, the flow shipped with an empty diff, and re-running the diff
-// against the insert stage's claim stays empty.
-func assertCleanCtrlnet(t *testing.T, res *core.Result) {
-	t.Helper()
-	if res.Network == nil || res.Network.Empty() {
-		t.Fatal("result carries no derived control network")
-	}
-	if len(res.CtrlDiff) != 0 {
-		t.Fatalf("flow shipped with claim/derivation mismatches: %v", res.CtrlDiff)
-	}
-	if ds := ctrlnet.Diff(res.Insert.Claim, res.Network); len(ds) != 0 {
-		t.Fatalf("re-running the cross-check disagrees: %v", ds)
-	}
-}
-
-// TestMarginAutoBump: an under-margin sizing result triggers a margin bump
-// and retry rather than shipping an element that does not cover its region.
+// TestMarginAutoBump: an under-margin sizing result bumps the margin three
+// times, then ships with the advisory and DS-MARGIN demoted to warnings.
 func TestMarginAutoBump(t *testing.T) {
-	src := dlxSource(t)
-	var warnings bytes.Buffer
-	_, res, err := desynchronizeWithFallback(context.Background(), buildFrom(t, src),
-		core.Options{Period: 4.65, Margin: 0.05}, &warnings)
-	if err != nil {
-		t.Fatal(err)
+	_, stderr := runCLI(t, &runOpts{gen: "dlx", libVariant: "HS", Options: vflow.Options{Flow: core.Options{Period: 4.65, Margin: 0.05}}})
+	if n := strings.Count(stderr, "; retrying with margin "); n != 3 {
+		t.Fatalf("%d margin retries reported, want 3:\n%s", n, stderr)
 	}
-	if !strings.Contains(warnings.String(), "under-cover") {
-		t.Fatalf("no under-margin warning, got %q", warnings.String())
+	if !strings.Contains(stderr, "still under-cover regions [1 2 3 4] after 3 retries") {
+		t.Fatalf("missing final under-margin advisory:\n%s", stderr)
 	}
-	if len(res.UnderMargin) > 0 {
-		// Three 15% bumps from 0.05 cannot reach 1.0; the tool must still
-		// finish and leave the advisory in place.
-		if !strings.Contains(warnings.String(), "retries") {
-			t.Fatalf("missing final under-margin advisory, got %q", warnings.String())
-		}
+	if !strings.Contains(stderr, "warning DS-MARGIN") || strings.Contains(stderr, "error DS-MARGIN") {
+		t.Fatalf("DS-MARGIN not demoted to warnings:\n%s", stderr)
 	}
-	// Under-margin delay elements degrade timing, not structure: the shipped
-	// network's claim/derivation diff is as clean as a full-margin run's.
-	assertCleanCtrlnet(t, res)
 }
 
 // TestNoDegradationOnCleanRun: a healthy design desynchronizes on the first
 // attempt with no warnings.
 func TestNoDegradationOnCleanRun(t *testing.T) {
-	var warnings bytes.Buffer
-	_, res, err := desynchronizeWithFallback(context.Background(), buildFrom(t, dlxSource(t)),
-		core.Options{Period: 4.65}, &warnings)
-	if err != nil {
-		t.Fatal(err)
+	out, stderr := runCLI(t, &runOpts{gen: "dlx", libVariant: "HS", Options: vflow.Options{Flow: core.Options{Period: 4.65}}})
+	if strings.Contains(stderr, "warning") || len(out.Degraded) != 0 {
+		t.Fatalf("unexpected degradation %+v:\n%s", out.Degraded, stderr)
 	}
-	if warnings.Len() != 0 {
-		t.Fatalf("unexpected warnings: %q", warnings.String())
+	if out.Result.Grouping.Groups < 2 {
+		t.Fatalf("DLX regions = %d, want several", out.Result.Grouping.Groups)
 	}
-	if res.Grouping.Groups < 2 {
-		t.Fatalf("DLX regions = %d, want several", res.Grouping.Groups)
-	}
-}
-
-var dlxSrcCache string
-
-func dlxSource(t *testing.T) string {
-	t.Helper()
-	if dlxSrcCache == "" {
-		d, err := buildDLXDesign()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dlxSrcCache = verilog.Write(d)
-	}
-	return dlxSrcCache
 }

@@ -1,19 +1,17 @@
 package main
 
 import (
-	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"desync/internal/core"
 	"desync/internal/designs"
-	"desync/internal/equiv"
-	"desync/internal/expt"
 	"desync/internal/stdcells"
 	"desync/internal/verilog"
+	"desync/internal/vflow"
 )
 
 // TestEquivGateEndToEnd desynchronizes the DLX through run() with the
@@ -30,37 +28,10 @@ func TestEquivGateEndToEnd(t *testing.T) {
 	if err := os.WriteFile(in, []byte(verilog.Write(d)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), runOpts{
+	if _, err := run(context.Background(), runOpts{
 		in: in, libVariant: "HS", out: filepath.Join(dir, "ddlx.v"),
-		period: 4.65, margin: 1.15, equivGate: true, equivXval: 1, equivSeed: 5,
-	}); err != nil {
+		Options: vflow.Options{Flow: core.Options{Period: 4.65}, Equiv: true, EquivXval: 1, EquivSeed: 5},
+	}, io.Discard, io.Discard); err != nil {
 		t.Fatalf("run with -equiv failed: %v", err)
-	}
-}
-
-// TestEquivGateFailsBrokenNetwork feeds the gate a control network with a
-// cut acknowledge and checks the failure carries the equiv flow stage and
-// names the violated property.
-func TestEquivGateFailsBrokenNetwork(t *testing.T) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ai := f.Desync.Top.Inst("G2_Mctrl/ai")
-	if ai == nil {
-		t.Fatal("G2_Mctrl/ai not found")
-	}
-	f.Desync.Top.Disconnect(ai, "Z")
-
-	var out, errb bytes.Buffer
-	err = equivGate(context.Background(), f.Desync, nil, runOpts{}, &out, &errb)
-	if err == nil {
-		t.Fatal("equiv gate passed a deadlocking network")
-	}
-	if core.StageOf(err) != core.StageEquiv {
-		t.Fatalf("stage = %q, want %q (err: %v)", core.StageOf(err), core.StageEquiv, err)
-	}
-	if !strings.Contains(errb.String(), equiv.RuleDeadlock) {
-		t.Errorf("findings do not name %s:\n%s", equiv.RuleDeadlock, errb.String())
 	}
 }

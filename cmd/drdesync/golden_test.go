@@ -7,18 +7,22 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"desync/internal/core"
+	"desync/internal/vflow"
 )
 
 // CLI half of the golden byte-identity suite (the drserve half lives in
 // internal/flowserv): the default-backend netlist and SDC the tool writes
 // for the generated case studies are pinned by digest across driver
-// refactors. The CLI path differs from the server's — degradation loop,
-// stage-check lint wiring, no derived period — so both are pinned.
+// refactors. Both front ends render internal/vflow, but the server derives
+// a period when none is given and the CLI does not, so both are pinned.
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/golden_digests.txt from the current tool output")
 
@@ -28,9 +32,9 @@ var goldenCases = []struct {
 	name string
 	o    runOpts
 }{
-	{"dlx", runOpts{gen: "dlx", libVariant: "HS", period: 4.65, margin: 1.15}},
-	{"fir", runOpts{gen: "fir", libVariant: "HS", period: 6.0, margin: 1.15}},
-	{"pipeline", runOpts{gen: "pipeline:depth=4,width=8,regions=6", libVariant: "HS", margin: 1.15}},
+	{"dlx", runOpts{gen: "dlx", libVariant: "HS", Options: vflow.Options{Flow: core.Options{Period: 4.65}}}},
+	{"fir", runOpts{gen: "fir", libVariant: "HS", Options: vflow.Options{Flow: core.Options{Period: 6.0}}}},
+	{"pipeline", runOpts{gen: "pipeline:depth=4,width=8,regions=6", libVariant: "HS"}},
 }
 
 func TestGoldenCLIArtifactsByteIdentical(t *testing.T) {
@@ -43,7 +47,7 @@ func TestGoldenCLIArtifactsByteIdentical(t *testing.T) {
 		o := tc.o
 		o.out = filepath.Join(dir, "out.v")
 		o.sdcOut = filepath.Join(dir, "out.sdc")
-		if err := run(context.Background(), o); err != nil {
+		if _, err := run(context.Background(), o, io.Discard, io.Discard); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for art, path := range map[string]string{"netlist.v": o.out, "constraints.sdc": o.sdcOut} {

@@ -33,38 +33,39 @@
 // exhaustively; when the design's protocol-state estimate exceeds the
 // -max-states reach, the static gate stands alone and the tool says so
 // explicitly instead of truncating a search.
+//
+// The gates and fallbacks are internal/vflow's, the same sequence the
+// drserve job server runs; this command renders their outcome.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strings"
 
 	"desync/internal/blif"
 	"desync/internal/cliutil"
 	"desync/internal/core"
 	"desync/internal/designs"
-	"desync/internal/lint"
 	"desync/internal/netlist"
 	"desync/internal/stdcells"
+	"desync/internal/twophase"
 	"desync/internal/verilog"
+	"desync/internal/vflow"
 )
 
+// runOpts is the command line: the input and output files plus the
+// verified flow's options, which most flags set directly.
 type runOpts struct {
-	in, gen, top, libVariant     string
-	out, sdcOut, blifOut, tbOut  string
-	falsePaths, backend          string
-	period, margin               float64
-	mux, manualGroups, simplify  bool
-	skipClean, cdet              bool
-	faults                       bool
-	faultCycles, faultsPerRegion int
-	equivGate                    bool
-	equivMaxStates, equivXval    int
-	equivSeed                    int64
-	parallelism                  int
+	in, gen, top, libVariant    string
+	out, sdcOut, blifOut, tbOut string
+	falsePaths                  string
+	simplify, cdet              bool
+	vflow.Options
 }
 
 func main() {
@@ -73,27 +74,27 @@ func main() {
 	flag.StringVar(&o.gen, "gen", "", "desynchronize a generated design instead of a file: dlx, arm, fir, or a spec like pipeline:depth=8,width=32")
 	flag.StringVar(&o.top, "top", "", "top module (default: auto-detect)")
 	flag.StringVar(&o.libVariant, "lib", "HS", "technology library variant: HS or LL")
-	flag.StringVar(&o.backend, "backend", "", "clocking-conversion backend: "+strings.Join(core.BackendNames(), " or ")+" (default desync)")
-	flag.Float64Var(&o.period, "period", 0, "original clock period in ns for constraint generation")
-	flag.BoolVar(&o.mux, "mux", false, "build 8-tap multiplexed delay elements (adds delsel[2:0] ports)")
-	flag.Float64Var(&o.margin, "margin", 1.15, "delay-element sizing margin")
+	flag.StringVar(&o.Flow.Backend, "backend", "", "clocking-conversion backend: "+strings.Join(core.BackendNames(), " or ")+" (default desync)")
+	flag.Float64Var(&o.Flow.Period, "period", 0, "original clock period in ns for constraint generation")
+	flag.BoolVar(&o.Flow.MuxTaps, "mux", false, "build 8-tap multiplexed delay elements (adds delsel[2:0] ports)")
+	flag.Float64Var(&o.Flow.Margin, "margin", 1.15, "delay-element sizing margin")
 	flag.StringVar(&o.falsePaths, "falsepath", "", "comma-separated nets to ignore during grouping")
-	flag.BoolVar(&o.manualGroups, "manual-groups", false, "keep hierarchy-derived regions instead of auto grouping")
+	flag.BoolVar(&o.Flow.ManualGroups, "manual-groups", false, "keep hierarchy-derived regions instead of auto grouping")
 	flag.BoolVar(&o.simplify, "simplify-names", false, "rewrite escaped names as simple identifiers first")
 	flag.StringVar(&o.out, "out", "", "output Verilog netlist (required)")
 	flag.StringVar(&o.sdcOut, "sdc", "", "output SDC constraints file")
 	flag.StringVar(&o.blifOut, "blif", "", "output BLIF netlist (SIS export)")
-	flag.BoolVar(&o.skipClean, "no-clean", false, "skip buffer/inverter-pair removal")
+	flag.BoolVar(&o.Flow.SkipClean, "no-clean", false, "skip buffer/inverter-pair removal")
 	flag.BoolVar(&o.cdet, "cdet", false, "use dual-rail completion detection instead of matched delay elements (§2.4.4)")
 	flag.StringVar(&o.tbOut, "tb", "", "output a behavioural testbench skeleton (§4.8)")
-	flag.BoolVar(&o.equivGate, "equiv", false, "model-check the inserted control network (deadlock, phase safety, flow equivalence)")
-	flag.IntVar(&o.equivMaxStates, "equiv-max-states", 0, "marking budget for the -equiv gate (0: engine default)")
-	flag.IntVar(&o.equivXval, "equiv-xval", 0, "cross-validate the -equiv model against N randomized simulator traces")
-	cliutil.SeedVar(flag.CommandLine, &o.equivSeed, "equiv-seed", 1, "PRNG seed for -equiv-xval traces")
-	cliutil.ParallelismVar(flag.CommandLine, &o.parallelism)
-	flag.BoolVar(&o.faults, "faults", false, "run a fault-injection campaign on the desynchronized design")
-	flag.IntVar(&o.faultCycles, "fault-cycles", 12, "campaign run length in clock periods")
-	flag.IntVar(&o.faultsPerRegion, "faults-per-region", 2, "delay faults injected per region")
+	flag.BoolVar(&o.Equiv, "equiv", false, "model-check the inserted control network (deadlock, phase safety, flow equivalence)")
+	flag.IntVar(&o.EquivMaxStates, "equiv-max-states", 0, "marking budget for the -equiv gate (0: engine default)")
+	flag.IntVar(&o.EquivXval, "equiv-xval", 0, "cross-validate the -equiv model against N randomized simulator traces")
+	cliutil.SeedVar(flag.CommandLine, &o.EquivSeed, "equiv-seed", 1, "PRNG seed for -equiv-xval traces")
+	cliutil.ParallelismVar(flag.CommandLine, &o.Flow.Parallelism)
+	flag.BoolVar(&o.Faults, "faults", false, "run a fault-injection campaign on the desynchronized design")
+	flag.IntVar(&o.FaultCycles, "fault-cycles", 12, "campaign run length in clock periods")
+	flag.IntVar(&o.FaultsPerRegion, "faults-per-region", 2, "delay faults injected per region")
 	flag.Parse()
 	if (o.in == "") == (o.gen == "") || o.out == "" {
 		flag.Usage()
@@ -109,7 +110,8 @@ func main() {
 		}
 	}()
 	interrupted, err := cliutil.RunDrained(func(ctx context.Context) error {
-		return run(ctx, o)
+		_, err := run(ctx, o, os.Stdout, os.Stderr)
+		return err
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "drdesync:", err)
@@ -122,106 +124,149 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, o runOpts) error {
+// run desynchronizes one design through the verified flow, renders the
+// outcome on stdout/stderr and writes the requested artifacts. It returns
+// the outcome even when the flow fails, for callers that inspect verdicts.
+func run(ctx context.Context, o runOpts, stdout, stderr io.Writer) (*vflow.Outcome, error) {
 	variant := stdcells.Variant(o.libVariant)
 	if _, err := stdcells.NewChecked(variant); err != nil {
-		return err
+		return nil, err
 	}
 
 	var src []byte
 	if o.in != "" {
 		var err error
 		if src, err = os.ReadFile(o.in); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	var fps []string
+	opts := o.Options
 	if o.falsePaths != "" {
-		fps = strings.Split(o.falsePaths, ",")
+		opts.Flow.FalsePaths = strings.Split(o.falsePaths, ",")
 	}
-	var mode core.Mode
 	if o.cdet {
-		mode = core.ModeCompletion
+		opts.Flow.Mode = core.ModeCompletion
 	}
-	opts := core.Options{
-		Backend:    o.backend,
-		Mode:       mode,
-		Period:     o.period,
-		Margin:     o.margin,
-		MuxTaps:    o.mux,
-		FalsePaths: fps,
-		// Pre-grouped generators (arm, the pipeline family) bake their
-		// region assignment into the instances.
-		ManualGroups: o.manualGroups || designs.PreGrouped(o.gen),
-		SkipClean:    o.skipClean,
-		Parallelism:  o.parallelism,
-	}
-	d, res, err := desynchronizeWithFallback(ctx, func() (*designState, error) {
-		var dd *netlist.Design
+	// Pre-grouped generators (arm, the pipeline family) bake their region
+	// assignment into the instances.
+	opts.Flow.ManualGroups = opts.Flow.ManualGroups || designs.PreGrouped(o.gen)
+	out, err := vflow.Run(ctx, func() (*netlist.Design, error) {
+		var d *netlist.Design
 		var err error
 		if o.gen != "" {
-			dd, err = designs.ParseSpec(o.gen, stdcells.New(variant))
+			d, err = designs.ParseSpec(o.gen, stdcells.New(variant))
 		} else {
-			dd, err = verilog.Read(string(src), stdcells.New(variant), o.top)
+			d, err = verilog.Read(string(src), stdcells.New(variant), o.top)
 		}
-		if err != nil {
-			return nil, err
+		if err == nil && o.simplify {
+			fmt.Fprintf(stdout, "simplified %d names\n", core.SimplifyNames(d.Top))
 		}
-		// Pre-import lint gate: reject structurally broken inputs before the
-		// heavy pipeline touches them.
-		if err := lintGate("pre-import", lint.CheckDesign(dd, lint.Options{}), os.Stderr); err != nil {
-			return nil, err
-		}
-		if o.simplify {
-			n := core.SimplifyNames(dd.Top)
-			fmt.Printf("simplified %d names\n", n)
-		}
-		return &designState{d: dd}, nil
-	}, opts, os.Stderr)
+		return d, err
+	}, opts)
+	report(out, stdout, stderr)
 	if err != nil {
-		return err
+		return out, err
 	}
-
-	fmt.Printf("cleaned %d buffering cells\n", res.CleanedCells)
-	fmt.Printf("regions: %d (+%d cells in group 0)\n", res.Grouping.Groups, res.Grouping.Group0)
-	fmt.Printf("flip-flops substituted: %d (+%d helper gates)\n",
-		res.Substitution.FFs, res.Substitution.ExtraGates)
-	switch res.Backend {
-	case core.BackendDesync:
-		if err := desyncGates(ctx, d, res, o); err != nil {
-			return err
-		}
-	case core.BackendTwoPhase:
-		if err := twophaseGates(d, res, o); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("no gate pipeline for backend %q", res.Backend)
-	}
+	d, res := out.Design, out.Result
 
 	if err := os.WriteFile(o.out, []byte(verilog.Write(d)), 0o644); err != nil {
-		return err
+		return out, err
 	}
 	if o.sdcOut != "" {
 		if err := os.WriteFile(o.sdcOut, []byte(res.Constraints.Write()), 0o644); err != nil {
-			return err
+			return out, err
 		}
 	}
 	if o.tbOut != "" {
 		if res.Backend != core.BackendDesync {
-			fmt.Fprintf(os.Stderr, "drdesync: -tb drives the handshake reset protocol; not applicable to the %s backend, skipped\n", res.Backend)
-		} else if err := os.WriteFile(o.tbOut, []byte(core.WriteTestbench(d, res, "", o.period)), 0o644); err != nil {
-			return err
+			fmt.Fprintf(stderr, "drdesync: -tb drives the handshake reset protocol; not applicable to the %s backend, skipped\n", res.Backend)
+		} else if err := os.WriteFile(o.tbOut, []byte(core.WriteTestbench(d, res, "", o.Flow.Period)), 0o644); err != nil {
+			return out, err
 		}
 	}
 	if o.blifOut != "" {
 		text, err := blif.Write(d.Top)
 		if err != nil {
-			return err
+			return out, err
 		}
 		if err := os.WriteFile(o.blifOut, []byte(text), 0o644); err != nil {
-			return err
+			return out, err
 		}
 	}
-	return nil
+	return out, nil
+}
+
+// report renders an outcome as far as the run got: the conversion summary
+// and each gate's report on stdout; gate findings, fallbacks and skipped or
+// downgraded gates on stderr.
+func report(out *vflow.Outcome, stdout, stderr io.Writer) {
+	findings(stderr, out.Verdict(vflow.GatePreImport))
+	for _, f := range out.Degraded {
+		fmt.Fprintf(stderr, "drdesync: warning: %s\n", f.Reason)
+	}
+	res := out.Result
+	if res == nil {
+		return
+	}
+	fmt.Fprintf(stdout, "cleaned %d buffering cells\n", res.CleanedCells)
+	fmt.Fprintf(stdout, "regions: %d (+%d cells in group 0)\n", res.Grouping.Groups, res.Grouping.Group0)
+	fmt.Fprintf(stdout, "flip-flops substituted: %d (+%d helper gates)\n",
+		res.Substitution.FFs, res.Substitution.ExtraGates)
+	if tp, ok := res.BackendResult.(*twophase.Result); ok {
+		fmt.Fprintf(stdout, "two-phase generator: ring %d levels, non-overlap %d levels, period %.3f ns (non-overlap gap %.3f ns)\n",
+			tp.RingLevels, tp.NovLevels, tp.Period, tp.NonOverlap)
+		fmt.Fprintf(stdout, "phase distribution: %d regions, %d generator cells, %d distribution buffers\n",
+			len(tp.Regions), tp.GenCells, tp.DistBufs)
+	} else if res.Backend == core.BackendDesync {
+		nodes := append([]int(nil), res.DDG.Nodes...)
+		sort.Ints(nodes)
+		for _, g := range nodes {
+			fmt.Fprintf(stdout, "  region %d: succs %v, comb %.3f ns, delay element %d levels\n",
+				g, res.DDG.Succs[g], res.RegionDelays[g].CombMax, res.DelayLevels[g])
+		}
+		fmt.Fprintf(stdout, "controllers: %d, C-tree cells: %d, delay cells: %d\n",
+			res.Insert.Controllers, res.Insert.CTreeCells, res.Insert.DelayCells)
+		fmt.Fprintf(stdout, "control network: %d regions derived, insert-claim cross-check clean\n",
+			len(res.Network.Regions))
+	}
+
+	for _, v := range out.Verdicts {
+		switch {
+		case v.Step == vflow.GatePreImport:
+			continue
+		case v.Status == vflow.Downgraded:
+			fmt.Fprintf(stderr, "drdesync: warning: %s gate downgraded: %s\n", v.Step, v.Reason)
+		case v.Status == vflow.Skipped && v.Step != vflow.GateStatic:
+			// Only requested gates are reported as skipped; the always-on
+			// static gate's skip follows from -backend alone.
+			fmt.Fprintf(stderr, "drdesync: -%s %s, skipped\n", v.Step, v.Reason)
+		}
+		switch {
+		case v.Step == vflow.GateStatic && out.Static != nil:
+			out.Static.WriteText(stdout)
+		case v.Step == vflow.GateEquiv && out.Equiv != nil:
+			out.Equiv.WriteText(stdout)
+		case v.Step == vflow.GateFaults && out.Faults != nil:
+			io.WriteString(stdout, out.Faults.Render())
+		}
+		findings(stderr, v)
+		if v.Step == vflow.GateEquiv && out.Equiv != nil && out.Equiv.Truncated {
+			fmt.Fprintf(stderr, "drdesync: equiv gate truncated at %d markings; properties hold only up to this bound\n", out.Equiv.States)
+		}
+	}
+}
+
+// findings prints every finding of a gate's lint-form report.
+func findings(w io.Writer, v vflow.Verdict) {
+	if v.Findings == nil || len(v.Findings.Findings) == 0 {
+		return
+	}
+	label := v.Step
+	if label == vflow.GateLint {
+		label = "post-export"
+	}
+	fmt.Fprintf(w, "drdesync: %s lint:\n", label)
+	for _, f := range v.Findings.Findings {
+		fmt.Fprintf(w, "  %s\n", f)
+	}
 }

@@ -2,14 +2,17 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"desync/internal/core"
 	"desync/internal/designs"
 	"desync/internal/stdcells"
 	"desync/internal/verilog"
+	"desync/internal/vflow"
 )
 
 // End-to-end CLI flow on real files: generate the DLX, desynchronize it
@@ -29,10 +32,10 @@ func TestRunEndToEnd(t *testing.T) {
 	sdcOut := filepath.Join(dir, "ddlx.sdc")
 	blifOut := filepath.Join(dir, "ddlx.blif")
 	tbOut := filepath.Join(dir, "tb.v")
-	if err := run(context.Background(), runOpts{
+	if _, err := run(context.Background(), runOpts{
 		in: in, libVariant: "HS", out: out, sdcOut: sdcOut, blifOut: blifOut,
-		tbOut: tbOut, period: 4.65, margin: 1.15, mux: true,
-	}); err != nil {
+		tbOut: tbOut, Options: vflow.Options{Flow: core.Options{Period: 4.65, MuxTaps: true}},
+	}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	// The desynchronized netlist re-imports cleanly.
@@ -85,10 +88,10 @@ func TestRunTwoPhaseBackend(t *testing.T) {
 	out := filepath.Join(dir, "dlx2p.v")
 	sdcOut := filepath.Join(dir, "dlx2p.sdc")
 	tbOut := filepath.Join(dir, "tb.v")
-	if err := run(context.Background(), runOpts{
-		gen: "dlx", backend: "twophase", libVariant: "HS",
-		out: out, sdcOut: sdcOut, tbOut: tbOut, period: 4.65, margin: 1.15,
-	}); err != nil {
+	if _, err := run(context.Background(), runOpts{
+		gen: "dlx", libVariant: "HS", out: out, sdcOut: sdcOut, tbOut: tbOut,
+		Options: vflow.Options{Flow: core.Options{Backend: "twophase", Period: 4.65}},
+	}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	src, err := os.ReadFile(out)
@@ -122,10 +125,10 @@ func TestRunTwoPhaseBackend(t *testing.T) {
 	}
 
 	// An unregistered backend fails with a staged error, not a panic.
-	if err := run(context.Background(), runOpts{
-		gen: "dlx", backend: "fourphase", libVariant: "HS",
-		out: filepath.Join(dir, "o.v"), period: 1, margin: 1.15,
-	}); err == nil || !strings.Contains(err.Error(), "fourphase") {
+	if _, err := run(context.Background(), runOpts{
+		gen: "dlx", libVariant: "HS", out: filepath.Join(dir, "o.v"),
+		Options: vflow.Options{Flow: core.Options{Backend: "fourphase", Period: 1}},
+	}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "fourphase") {
 		t.Fatalf("unknown backend not rejected: %v", err)
 	}
 }
@@ -133,19 +136,17 @@ func TestRunTwoPhaseBackend(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	// Missing input file.
-	if err := run(context.Background(), runOpts{
-		in: filepath.Join(dir, "nope.v"), libVariant: "HS",
-		out: filepath.Join(dir, "o.v"), period: 1, margin: 1.15,
-	}); err == nil {
+	if _, err := run(context.Background(), runOpts{
+		in: filepath.Join(dir, "nope.v"), libVariant: "HS", out: filepath.Join(dir, "o.v"),
+	}, io.Discard, io.Discard); err == nil {
 		t.Fatal("expected missing-file error")
 	}
 	// Bad library variant.
 	in := filepath.Join(dir, "x.v")
 	os.WriteFile(in, []byte("module m (a); input a; endmodule"), 0o644)
-	if err := run(context.Background(), runOpts{
+	if _, err := run(context.Background(), runOpts{
 		in: in, libVariant: "XX", out: filepath.Join(dir, "o.v"),
-		period: 1, margin: 1.15,
-	}); err == nil {
+	}, io.Discard, io.Discard); err == nil {
 		t.Fatal("expected library error")
 	}
 	// Unknown false-path net.
@@ -156,10 +157,10 @@ func TestRunErrors(t *testing.T) {
 	}
 	dlxIn := filepath.Join(dir, "dlx.v")
 	os.WriteFile(dlxIn, []byte(verilog.Write(d)), 0o644)
-	if err := run(context.Background(), runOpts{
+	if _, err := run(context.Background(), runOpts{
 		in: dlxIn, libVariant: "HS", out: filepath.Join(dir, "o.v"),
-		falsePaths: "no_such_net", period: 1, margin: 1.15,
-	}); err == nil {
+		falsePaths: "no_such_net", Options: vflow.Options{Flow: core.Options{Period: 1}},
+	}, io.Discard, io.Discard); err == nil {
 		t.Fatal("expected false-path error")
 	}
 }

@@ -36,6 +36,12 @@
 //	            strings nor direct handshake.ControlRegion calls. Go through
 //	            ctrlnet.Name/CtrlGate/Region instead, so a naming change stays
 //	            a one-package change.
+//	RL-GATES    The verified flow's gate sequence has one owner:
+//	            internal/vflow. Its front ends (cmd/drdesync and
+//	            internal/flowserv) render the vflow.Outcome and must not
+//	            import the gate engines — internal/mga, internal/equiv,
+//	            internal/faults — outside tests, so a second copy of the
+//	            gate sequence cannot grow back in either of them.
 //	RL-OPTS     Exported functions and methods must not take more than four
 //	            scalar configuration parameters (basic types: ints, floats,
 //	            bools, strings). Past that, positional call sites stop being
@@ -234,6 +240,16 @@ func checkFile(fset *token.FileSet, rel string, f *ast.File) []finding {
 		out = append(out, checkNetIDMaps(fset, rel, f)...)
 	}
 	out = append(out, checkBackendBoundaries(fset, rel, f)...)
+	// RL-GATES: the verified flow's front ends import no gate engine.
+	if strings.HasPrefix(rel, "cmd/drdesync/") || strings.HasPrefix(rel, "internal/flowserv/") {
+		for _, imp := range f.Imports {
+			switch path := strings.Trim(imp.Path.Value, `"`); path {
+			case "desync/internal/mga", "desync/internal/equiv", "desync/internal/faults":
+				out = append(out, finding{fset.Position(imp.Pos()), "RL-GATES",
+					fmt.Sprintf("front ends render internal/vflow's outcome; importing %s forks the gate sequence — add the gate to vflow instead", path)})
+			}
+		}
+	}
 
 	for _, decl := range f.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
@@ -281,14 +297,14 @@ func checkFile(fset *token.FileSet, rel string, f *ast.File) []finding {
 }
 
 // flowErrorMintAllowlist exempts audited sites from RL-BACKEND's
-// FlowError-mint check. The only legitimate exemptions are the drdesync
-// CLI's post-flow gates: StageStatic and StageEquiv are driver-side stages
-// that run after Convert returns, so the skeleton cannot wrap them — the
-// gates mint their own staged errors to keep `failed during the %s stage`
-// working for the whole run. Backend packages never qualify.
+// FlowError-mint check. The only legitimate exemption is the verified
+// flow's post-export gate helper: StageStatic and StageEquiv run after
+// Convert returns, so the skeleton cannot wrap them — internal/vflow mints
+// their staged errors in one place to keep core.StageOf (and drdesync's
+// `failed during the %s stage`) working for the whole run. Backend
+// packages never qualify.
 var flowErrorMintAllowlist = map[string]bool{
-	"cmd/drdesync/static.go:staticGate": true,
-	"cmd/drdesync/equiv.go:equivGate":   true,
+	"internal/vflow/gates.go:stageError": true,
 }
 
 // backendPackages lists every clocking-conversion backend package by import

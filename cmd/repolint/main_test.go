@@ -69,7 +69,7 @@ func h(stage string) error { return flowErr(stage, "d", "", nil) }
 func TestFlowReturnRuleFires(t *testing.T) {
 	src := `package core
 import "fmt"
-func Desynchronize() (int, error) {
+func Convert() (int, error) {
 	if true {
 		return 0, fmt.Errorf("bare")
 	}
@@ -142,24 +142,68 @@ import (
 var _ = core.BackendTwoPhase
 var _ = twophase.RstPortName
 `
-	if got := check(t, "cmd/drdesync/gates.go", cmd); len(got) != 0 {
+	if got := check(t, "cmd/drdesync/main.go", cmd); len(got) != 0 {
 		t.Fatalf("cmd driver importing a backend flagged: %v", got)
 	}
 }
 
 func TestBackendRuleMintAllowlist(t *testing.T) {
-	src := `package main
+	src := `package vflow
 import "desync/internal/core"
-func staticGate() error {
+func stageError() error {
 	return &core.FlowError{Stage: core.StageStatic}
 }
 func otherGate() error {
 	return &core.FlowError{Stage: core.StageStatic}
 }
 `
-	got := check(t, "cmd/drdesync/static.go", src)
+	got := check(t, "internal/vflow/gates.go", src)
 	if len(got) != 1 || got[0] != "RL-BACKEND" {
 		t.Fatalf("want [RL-BACKEND] only for the unaudited mint, got %v", got)
+	}
+}
+
+func TestGatesRuleFires(t *testing.T) {
+	cli := `package main
+import (
+	"desync/internal/core"
+	"desync/internal/mga"
+)
+var _ = mga.StateEstimate
+var _ = core.StageStatic
+`
+	if got := check(t, "cmd/drdesync/static.go", cli); len(got) != 1 || got[0] != "RL-GATES" {
+		t.Fatalf("want [RL-GATES] for drdesync importing mga, got %v", got)
+	}
+	srv := `package flowserv
+import (
+	"desync/internal/equiv"
+	"desync/internal/faults"
+)
+var _ = equiv.DefaultMaxStates
+var _ = faults.NewCampaign
+`
+	if got := check(t, "internal/flowserv/run.go", srv); len(got) != 2 || got[0] != "RL-GATES" || got[1] != "RL-GATES" {
+		t.Fatalf("want two RL-GATES findings for flowserv importing equiv and faults, got %v", got)
+	}
+}
+
+func TestGatesRuleScopedToFrontEnds(t *testing.T) {
+	// The owner sequences the engines; other tools drive them directly.
+	src := `package vflow
+import (
+	"desync/internal/equiv"
+	"desync/internal/faults"
+	"desync/internal/mga"
+)
+var _ = equiv.DefaultMaxStates
+var _ = faults.NewCampaign
+var _ = mga.StateEstimate
+`
+	for _, rel := range []string{"internal/vflow/gates.go", "cmd/drequiv/main.go", "internal/sweep/run.go"} {
+		if got := check(t, rel, src); len(got) != 0 {
+			t.Fatalf("RL-GATES fired outside the front ends (%s): %v", rel, got)
+		}
 	}
 }
 

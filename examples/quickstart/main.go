@@ -77,7 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.Desynchronize(context.Background(), dd, core.Options{Period: period})
+	res, err := core.Convert(context.Background(), dd, core.Options{Period: period})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestCompletionDetectionFlowEquivalence(t *testing.T) {
 		return a
 	}()
 
-	res, err := Desynchronize(context.Background(), ddes, Options{Period: 5, Mode: ModeCompletion})
+	res, err := Convert(context.Background(), ddes, Options{Period: 5, Mode: ModeCompletion})
 	if err != nil {
 		t.Fatal(err)
 	}

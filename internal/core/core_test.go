@@ -418,7 +418,7 @@ func TestDesynchronizeFlowEquivalence(t *testing.T) {
 
 	// Desynchronized run.
 	ddes := buildPipelineRing(lib)
-	res, err := Desynchronize(context.Background(), ddes, Options{Period: period})
+	res, err := Convert(context.Background(), ddes, Options{Period: period})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestDesynchronizeFlowEquivalence(t *testing.T) {
 func TestDesynchronizedNetlistExports(t *testing.T) {
 	lib := hs()
 	d := buildPipelineRing(lib)
-	res, err := Desynchronize(context.Background(), d, Options{Period: 3.0})
+	res, err := Convert(context.Background(), d, Options{Period: 3.0})
 	if err != nil {
 		t.Fatal(err)
 	}

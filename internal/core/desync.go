@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -9,22 +8,6 @@ import (
 	"desync/internal/netlist"
 	"desync/internal/sta"
 )
-
-// Desynchronize converts the synchronous design in place with the desync
-// backend: flatten, clean, group, substitute flip-flops, build the
-// dependency graph, size the matched delay elements and insert the
-// controller network. The datapath is untouched (§2.1); the clock network
-// is gone; the design gains a rst_desync input (and delsel[2:0] when
-// MuxTaps is set), plus environment handshake ports for boundary regions.
-//
-// It is Convert pinned to BackendDesync — the original single-backend
-// entry point, kept for callers that mean the paper's transformation by
-// name. Callers selecting a backend at run time use Convert directly.
-func Desynchronize(ctx context.Context, d *netlist.Design, opts Options) (*Result, error) {
-	opts.Backend = BackendDesync
-	res, err := Convert(ctx, d, opts)
-	return res, err
-}
 
 // underMarginRegions flags regions whose sized element delay falls short of
 // the measured budget: the matched element no longer matches. The per-level

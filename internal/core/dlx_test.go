@@ -78,7 +78,7 @@ func desyncDLX(t *testing.T, muxTaps bool) (*netlist.Design, *Result, float64) {
 		}
 	}
 	period *= 1.15
-	res, err := Desynchronize(context.Background(), d, Options{Period: period, MuxTaps: muxTaps})
+	res, err := Convert(context.Background(), d, Options{Period: period, MuxTaps: muxTaps})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestECOCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Desynchronize(context.Background(), d, Options{Period: 5})
+	res, err := Convert(context.Background(), d, Options{Period: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 )
 
 // Flow stage names, in pipeline order. FlowError.Stage is always one of
-// these, so callers (cmd/drdesync's degradation logic, tests) can switch on
-// them without string guessing.
+// these, so callers (internal/vflow's fallbacks, tests) can switch on them
+// without string guessing.
 const (
 	StageImport     = "import"
 	StageClean      = "clean"
@@ -23,7 +23,7 @@ const (
 // Stages lists the in-flow pipeline stages in execution order — exactly the
 // sequence Options.Progress observes on a full run (StageClean is skipped
 // under SkipClean). StageStatic and StageEquiv are post-export gate stages
-// run by the drivers, not by Desynchronize itself.
+// run by internal/vflow after Convert returns, not by Convert itself.
 var Stages = []string{
 	StageImport, StageClean, StageGroup, StageSubstitute,
 	StageSize, StageGenerate, StageExport,
@@ -33,11 +33,6 @@ var Stages = []string{
 // (no sequential logic outside the catch-all group 0); the caller may retry
 // with a manual single-region assignment.
 var ErrNoRegions = errors.New("no desynchronization regions")
-
-// ErrUnderMargin reports that a sized delay element does not cover its
-// region's launch-to-capture budget (margin < 1); the caller may bump the
-// margin and retry.
-var ErrUnderMargin = errors.New("delay element under margin")
 
 // FlowError ties a failure to the desynchronization stage that produced it,
 // so the command line can report where the pipeline broke and decide whether

@@ -111,7 +111,7 @@ func runBoth(t *testing.T, ffCell, ctlPin string, initial logic.V, edges []ctlEd
 
 	// Desynchronized run with token-aligned control edges.
 	des := buildSpecialFFRing(lib, ffCell, ctlPin)
-	res, err := Desynchronize(context.Background(), des, Options{Period: period})
+	res, err := Convert(context.Background(), des, Options{Period: period})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestSubstitutionAsyncSetBehaviour(t *testing.T) {
 	}
 
 	des := buildSpecialFFRing(lib, "DFFSQX1", "SN")
-	if _, err := Desynchronize(context.Background(), des, Options{Period: period}); err != nil {
+	if _, err := Convert(context.Background(), des, Options{Period: period}); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := sim.New(des.Top, sim.Config{Corner: netlist.Worst})

@@ -97,7 +97,7 @@ func TestFIRDesynchronizedFlowEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Desynchronize(context.Background(), ddes, Options{Period: period})
+	res, err := Convert(context.Background(), ddes, Options{Period: period})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type Result struct {
 	// UnderMargin lists regions whose sized delay element does not cover
 	// the measured launch-to-capture budget (only possible when the margin
 	// is below 1.0). The flow still completes — the ablation studies sweep
-	// such margins deliberately — but cmd/drdesync warns and can auto-bump.
+	// such margins deliberately — but internal/vflow warns and auto-bumps.
 	UnderMargin []int
 	// Network is the control-network IR derived from the exported netlist
 	// (ctrlnet.Derive); downstream consumers — lint's DS-* rules, the equiv

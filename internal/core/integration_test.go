@@ -51,7 +51,7 @@ func TestVerilogRoundTripFlowEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Desynchronize(context.Background(), dwork, Options{Period: period})
+	res, err := Convert(context.Background(), dwork, Options{Period: period})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Desynchronize(context.Background(), d, Options{Period: 2, ManualGroups: true})
+	res, err := Convert(context.Background(), d, Options{Period: 2, ManualGroups: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestMultipleClocksRejected(t *testing.T) {
 		m.MustConnect(ff, "QN", m.AddNet(fmt.Sprintf("qn%d", i)))
 	}
 	d := &netlist.Design{Name: "m", Top: m, Lib: lib, Modules: map[string]*netlist.Module{"m": m}}
-	_, err := Desynchronize(context.Background(), d, Options{Period: 2})
+	_, err := Convert(context.Background(), d, Options{Period: 2})
 	if err == nil {
 		t.Fatal("expected multiple-clock rejection")
 	}

@@ -56,7 +56,7 @@ type Options struct {
 	CompletionMargin int
 	// StageCheck, when non-nil, runs after each stage's Validate boundary
 	// with the stage name and whether the snapshot is mid-flow (undriven
-	// latch-enable nets are legal). cmd/drdesync hooks the static lint
+	// latch-enable nets are legal). internal/vflow hooks the static lint
 	// engine here so every stage is gated, not just import and export; an
 	// error aborts the flow as a FlowError of that stage.
 	StageCheck func(stage string, midFlow bool) error

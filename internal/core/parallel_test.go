@@ -13,7 +13,7 @@ func TestDesynchronizeCancellation(t *testing.T) {
 	d := buildPipelineRing(hs())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Desynchronize(ctx, d, Options{Period: 3.0})
+	res, err := Convert(ctx, d, Options{Period: 3.0})
 	if res != nil {
 		t.Fatalf("canceled flow returned a result: %+v", res)
 	}
@@ -29,7 +29,7 @@ func TestDesynchronizeCancellation(t *testing.T) {
 // between regions.
 func TestECOCalibrateCancellation(t *testing.T) {
 	d := buildPipelineRing(hs())
-	res, err := Desynchronize(context.Background(), d, Options{Period: 3.0})
+	res, err := Convert(context.Background(), d, Options{Period: 3.0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func TestProgressReportsStagesInOrder(t *testing.T) {
 	d := buildPipelineRing(hs())
 	var seen []string
-	_, err := Desynchronize(context.Background(), d, Options{
+	_, err := Convert(context.Background(), d, Options{
 		Period:   3.0,
 		Progress: func(stage string) { seen = append(seen, stage) },
 	})
@@ -29,7 +29,7 @@ func TestProgressReportsStagesInOrder(t *testing.T) {
 func TestProgressSkipsCleanUnderSkipClean(t *testing.T) {
 	d := buildPipelineRing(hs())
 	var seen []string
-	_, err := Desynchronize(context.Background(), d, Options{
+	_, err := Convert(context.Background(), d, Options{
 		Period:    3.0,
 		SkipClean: true,
 		Progress:  func(stage string) { seen = append(seen, stage) },
@@ -49,7 +49,7 @@ func TestProgressStopsAtFailingStage(t *testing.T) {
 	d := buildPipelineRing(hs())
 	ctx, cancel := context.WithCancel(context.Background())
 	var seen []string
-	_, err := Desynchronize(ctx, d, Options{
+	_, err := Convert(ctx, d, Options{
 		Period: 3.0,
 		Progress: func(stage string) {
 			seen = append(seen, stage)

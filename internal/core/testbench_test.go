@@ -28,7 +28,7 @@ func TestWriteTestbench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Desynchronize(context.Background(), ddes, Options{Period: 4.65})
+	res, err := Convert(context.Background(), ddes, Options{Period: 4.65})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func buildAccumulators(prefixes ...string) *netlist.Design {
 
 func desync(t *testing.T, d *netlist.Design) *core.Result {
 	t.Helper()
-	res, err := core.Desynchronize(context.Background(), d, core.Options{Period: 2.0})
+	res, err := core.Convert(context.Background(), d, core.Options{Period: 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}

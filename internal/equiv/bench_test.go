@@ -29,9 +29,9 @@ func BenchmarkEquivDLX(b *testing.B) {
 	if err != nil {
 		b.Fatalf("DLX flow: %v", err)
 	}
-	m, err := FromModule(f.Desync.Top)
+	m, err := FromNetwork(f.Desync.Top, ctrlnet.Derive(f.Desync.Top))
 	if err != nil {
-		b.Fatalf("FromModule: %v", err)
+		b.Fatalf("FromNetwork: %v", err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,9 +59,9 @@ func BenchmarkEquivParallelDLX(b *testing.B) {
 	if err != nil {
 		b.Fatalf("DLX flow: %v", err)
 	}
-	m, err := FromModule(f.Desync.Top)
+	m, err := FromNetwork(f.Desync.Top, ctrlnet.Derive(f.Desync.Top))
 	if err != nil {
-		b.Fatalf("FromModule: %v", err)
+		b.Fatalf("FromNetwork: %v", err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -90,7 +90,7 @@ func BenchmarkEquivScaling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	md, err := FromModule(dlx.Desync.Top)
+	md, err := FromNetwork(dlx.Desync.Top, ctrlnet.Derive(dlx.Desync.Top))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func BenchmarkEquivScaling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ma, err := FromModule(arm.Desync.Top)
+	ma, err := FromNetwork(arm.Desync.Top, ctrlnet.Derive(arm.Desync.Top))
 	if err != nil {
 		b.Fatal(err)
 	}

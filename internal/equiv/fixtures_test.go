@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"desync/internal/ctrlnet"
 	"desync/internal/expt"
 	"desync/internal/netlist"
 )
@@ -107,7 +108,7 @@ func TestKnownBadFixtures(t *testing.T) {
 			fx.mutate(t, f.Desync)
 			mod := f.Desync.Top
 
-			m, err := FromModule(mod)
+			m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 			if err != nil {
 				t.Fatal(err)
 			}

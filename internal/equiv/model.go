@@ -170,18 +170,11 @@ func (m *Model) addFinding(sev lint.Severity, net, msg string) {
 	})
 }
 
-// extractor carries the working state of FromModule.
+// extractor carries the working state of FromNetwork.
 type extractor struct {
 	m   *Model
 	mod *netlist.Module
 	net map[*netlist.Net]int // resolved net -> signal index
-}
-
-// FromModule extracts the controller-network model from a desynchronized
-// module, deriving (or reusing, via the ctrlnet memo) the control-network
-// IR first. Callers that already hold the IR use FromNetwork directly.
-func FromModule(mod *netlist.Module) (*Model, error) {
-	return FromNetwork(mod, ctrlnet.Derive(mod))
 }
 
 // FromNetwork extracts the controller-network model on top of an

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"desync/internal/ctrlnet"
 	"desync/internal/expt"
 	"desync/internal/lint"
 	"desync/internal/netlist"
@@ -36,7 +37,8 @@ func dlxModule(t *testing.T) *netlist.Module {
 // output model-checks clean — deadlock-free, phase-safe and flow
 // equivalent — within the default state budget.
 func TestDLXClean(t *testing.T) {
-	m, err := FromModule(dlxModule(t))
+	mod := dlxModule(t)
+	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,8 @@ func TestDLXClean(t *testing.T) {
 // finish on the DLX) and checks the partial-order reduction is not hiding a
 // shallow violation: the unreduced prefix must be violation-free too.
 func TestDLXFullPrefixAgrees(t *testing.T) {
-	m, err := FromModule(dlxModule(t))
+	mod := dlxModule(t)
+	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func TestARMClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ARM flow: %v", err)
 	}
-	m, err := FromModule(f.Desync.Top)
+	m, err := FromNetwork(f.Desync.Top, ctrlnet.Derive(f.Desync.Top))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +112,7 @@ func TestARMClean(t *testing.T) {
 // traces of the real netlist (seeded, so failures reproduce).
 func TestDLXCrossValidation(t *testing.T) {
 	mod := dlxModule(t)
-	m, err := FromModule(mod)
+	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +141,7 @@ func TestStuckAckCaughtFormally(t *testing.T) {
 	}
 	mod.Disconnect(ai, "Z")
 
-	m, err := FromModule(mod)
+	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
 	}

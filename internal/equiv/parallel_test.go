@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"desync/internal/ctrlnet"
 )
 
 // jsonOf renders a result the way drequiv -json does, so byte equality here
@@ -25,7 +27,8 @@ func jsonOf(t *testing.T, res *Result) []byte {
 // must visit exactly the same reduced state space (pinned at dlxStates)
 // and produce byte-identical JSON reports.
 func TestExploreParallelDeterministic(t *testing.T) {
-	m, err := FromModule(dlxModule(t))
+	mod := dlxModule(t)
+	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func TestExploreParallelCounterexampleIdentical(t *testing.T) {
 		t.Fatal("G2_Mctrl/ai not found")
 	}
 	mod.Disconnect(ai, "Z")
-	m, err := FromModule(mod)
+	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,8 @@ func TestExploreParallelCounterexampleIdentical(t *testing.T) {
 // mode (drequiv -no-reduce) with a -max-states truncation: the truncation
 // point and flags must not move with the worker count.
 func TestExploreNoReduceParallelDeterministic(t *testing.T) {
-	m, err := FromModule(dlxModule(t))
+	mod := dlxModule(t)
+	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +103,8 @@ func TestExploreNoReduceParallelDeterministic(t *testing.T) {
 // TestExploreCancellation: a canceled context aborts the search with
 // context.Canceled instead of returning a partial result.
 func TestExploreCancellation(t *testing.T) {
-	m, err := FromModule(dlxModule(t))
+	mod := dlxModule(t)
+	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +124,7 @@ func TestExploreCancellation(t *testing.T) {
 // trace derives its delay factors from the seed alone.
 func TestCrossValidateParallelDeterministic(t *testing.T) {
 	mod := dlxModule(t)
-	m, err := FromModule(mod)
+	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +147,7 @@ func TestCrossValidateParallelDeterministic(t *testing.T) {
 // TestCrossValidateCancellation: a canceled context aborts the trace fan-out.
 func TestCrossValidateCancellation(t *testing.T) {
 	mod := dlxModule(t)
-	m, err := FromModule(mod)
+	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"desync/internal/core"
+	"desync/internal/sta"
 	"desync/internal/twophase"
 )
 
@@ -91,13 +92,7 @@ func operatingPeriod(res *core.Result, margin float64) float64 {
 	if margin == 0 {
 		margin = 1.15
 	}
-	worst := 0.0
-	for _, rd := range res.RegionDelays {
-		if b := rd.Budget(); b > worst {
-			worst = b
-		}
-	}
-	return worst * margin
+	return sta.WorstBudget(res.RegionDelays) * margin
 }
 
 // RenderBackendTable prints the comparison in the report layout of

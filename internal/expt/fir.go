@@ -41,18 +41,13 @@ func RunFIRFlow(cfg FlowConfig) (*FIRFlow, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, rd := range rds {
-		if b := rd.Budget(); b > f.Period {
-			f.Period = b
-		}
-	}
-	f.Period *= 1.15
+	f.Period = sta.WorstBudget(rds) * 1.15
 
 	lib2 := stdcells.New(stdcells.HighSpeed)
 	if f.Desync, err = designs.BuildFIR(lib2); err != nil {
 		return nil, err
 	}
-	f.Result, err = core.Desynchronize(context.Background(), f.Desync, core.Options{
+	f.Result, err = core.Convert(context.Background(), f.Desync, core.Options{
 		Period:      f.Period,
 		Parallelism: cfg.Parallelism,
 	})

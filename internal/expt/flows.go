@@ -127,16 +127,11 @@ func syncPeriods(d *netlist.Design) (worst, best float64, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		p := 0.0
-		for _, rd := range rds {
-			if b := rd.Budget(); b > p {
-				p = b
-			}
-		}
+		p := sta.WorstBudget(rds) * 1.05 // small clock margin
 		if corner == netlist.Worst {
-			worst = p * 1.05 // small clock margin
+			worst = p
 		} else {
-			best = p * 1.05
+			best = p
 		}
 	}
 	return worst, best, nil
@@ -184,7 +179,7 @@ func RunARMFlow(layout bool) (*ARMFlow, error) {
 	if f.Desync, err = build(); err != nil {
 		return nil, err
 	}
-	if f.Result, err = core.Desynchronize(context.Background(), f.Desync, core.Options{
+	if f.Result, err = core.Convert(context.Background(), f.Desync, core.Options{
 		Period:       armPeriod(f.Sync),
 		ManualGroups: true,
 	}); err != nil {
@@ -211,13 +206,7 @@ func armPeriod(d *netlist.Design) float64 {
 	if err != nil {
 		return 10
 	}
-	p := 0.0
-	for _, rd := range rds {
-		if b := rd.Budget(); b > p {
-			p = b
-		}
-	}
-	return p * 1.05
+	return sta.WorstBudget(rds) * 1.05
 }
 
 // MeasureRun is one desynchronized simulation outcome.

@@ -38,12 +38,7 @@ func RunGenFlow(spec string, cfg FlowConfig) (*GenFlow, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, rd := range rds {
-		if b := rd.Budget(); b > f.Period {
-			f.Period = b
-		}
-	}
-	f.Period *= 1.15
+	f.Period = sta.WorstBudget(rds) * 1.15
 
 	if f.Desync, err = designs.ParseSpec(spec, nil); err != nil {
 		return nil, err

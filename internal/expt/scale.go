@@ -26,7 +26,7 @@ type ScaleRow struct {
 	// Desynchronization stages, keyed by the core.Stage* names, measured
 	// from the flow's own progress boundaries.
 	Stages map[string]time.Duration
-	Flow   time.Duration // whole Desynchronize call
+	Flow   time.Duration // whole Convert call
 	Derive time.Duration // ctrlnet.DeriveFresh on the desynchronized top
 }
 
@@ -79,11 +79,11 @@ func ScalePipeline(ctx context.Context, target, parallelism int) (*ScaleRow, err
 	}
 	row.Validate = time.Since(t0)
 
-	// Desynchronize with per-stage timing from the progress boundaries:
+	// Convert with per-stage timing from the progress boundaries:
 	// each callback closes the previous stage and opens the next.
 	last, lastStage := time.Now(), ""
 	t0 = last
-	res, err := core.Desynchronize(ctx, d, core.Options{
+	res, err := core.Convert(ctx, d, core.Options{
 		Period:       2.0,
 		ManualGroups: true,
 		Parallelism:  parallelism,

@@ -43,7 +43,7 @@ func BenchmarkNetlistDerive100k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := core.Desynchronize(context.Background(), d, core.Options{
+	if _, err := core.Convert(context.Background(), d, core.Options{
 		Period: 2.0, ManualGroups: true,
 	}); err != nil {
 		b.Fatal(err)

@@ -5,16 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"desync/internal/core"
-	"desync/internal/equiv"
-	"desync/internal/faults"
-	"desync/internal/lint"
-	"desync/internal/mga"
 	"desync/internal/netlist"
 	"desync/internal/sta"
-	_ "desync/internal/twophase" // registers the twophase backend with the core flow
 	"desync/internal/verilog"
+	"desync/internal/vflow"
 )
 
 // Artifact names served under /jobs/{id}/artifacts/. Every successful job
@@ -50,6 +47,10 @@ type Summary struct {
 	EquivNote   string      `json:"equivNote,omitempty"`
 	FaultsRan   bool        `json:"faultsRan"`
 	Artifacts   []string    `json:"artifacts"`
+
+	// Degraded lists the fallbacks the run took instead of failing, one
+	// per single-region retry or margin bump.
+	Degraded []vflow.Verdict `json:"degraded,omitempty"`
 }
 
 // runGuarded executes one job's flow with the package's single panic
@@ -72,14 +73,12 @@ func runGuarded(ctx context.Context, j *job, jobParallelism int) (arts map[strin
 // to race HTTP cancel/drain requests against.
 var testStageHook func(ctx context.Context, stage string)
 
-// runFlow drives the whole flow for one job: pre-import lint, the
-// desynchronization pipeline with per-stage progress events and mid-flow
-// lint gates, the post-export lint / static / optional equiv and faults
-// gates, and the artifact exports. It returns the artifacts produced so
-// far even on failure, so a tripped gate stays diagnosable over HTTP.
+// runFlow runs one job through the verified flow (internal/vflow) — the
+// same gates and fallbacks as drdesync — streaming each stage, gate verdict
+// and fallback as an event. It returns the artifacts produced so far even
+// on failure, so a tripped gate stays diagnosable over HTTP.
 func runFlow(ctx context.Context, j *job, jobParallelism int) (map[string][]byte, error) {
 	arts := map[string][]byte{}
-	d := j.design
 	// Submit-time validation already canonicalized once; a failure here
 	// would mean the request mutated in flight.
 	opts, err := j.req.Options.Canonicalize()
@@ -89,106 +88,62 @@ func runFlow(ctx context.Context, j *job, jobParallelism int) (map[string][]byte
 	canonical := opts
 	opts.Parallelism = jobParallelism
 
-	// Pre-import gate: reject structurally broken inputs before the heavy
-	// pipeline touches them (same discipline as drdesync).
-	pre := lint.CheckDesign(d, lint.Options{Parallelism: opts.Parallelism})
-	if n := pre.Errors(); n > 0 {
-		return arts, fmt.Errorf("pre-import lint: %d error(s), first: %s", n, pre.Findings[0])
-	}
-	j.event("gate", "pre-import", "lint clean")
-
 	period := opts.Period
 	if period == 0 {
-		var err error
-		if period, err = derivePeriod(ctx, d.Top, opts.Parallelism); err != nil {
+		if period, err = derivePeriod(ctx, j.design.Top, opts.Parallelism); err != nil {
 			return arts, fmt.Errorf("deriving a period from STA: %w (pass options.period)", err)
 		}
 	}
-
-	res, err := core.Convert(ctx, d, core.Options{
-		Backend:      opts.Backend,
-		Mode:         core.Mode(opts.Mode),
-		Period:       period,
-		Margin:       opts.Margin,
-		MuxTaps:      opts.MuxTaps,
-		ManualGroups: opts.ManualGroups,
-		SkipClean:    opts.SkipClean,
-		Parallelism:  opts.Parallelism,
-		Progress: func(stage string) {
-			j.setStage(stage)
-			if testStageHook != nil {
-				testStageHook(ctx, stage)
-			}
-		},
-		StageCheck: func(stage string, midFlow bool) error {
-			rep := lint.Check(d.Top, lint.Options{MidFlow: midFlow, Parallelism: opts.Parallelism})
-			if n := rep.Errors(); n > 0 {
-				return fmt.Errorf("lint: %d error(s), first: %s", n, rep.Findings[0])
-			}
-			return nil
+	flow := opts.coreOptions()
+	flow.Period = period
+	flow.Progress = func(stage string) {
+		j.setStage(stage)
+		if testStageHook != nil {
+			testStageHook(ctx, stage)
+		}
+	}
+	// The first attempt converts the design built at submit time, whose
+	// content hash is the cache key; a fallback retry rebuilds it.
+	first := j.design
+	out, err := vflow.Run(ctx, func() (*netlist.Design, error) {
+		if d := first; d != nil {
+			first = nil
+			return d, nil
+		}
+		return j.req.buildDesign()
+	}, vflow.Options{
+		Flow:  flow,
+		Equiv: opts.Equiv, EquivMaxStates: opts.EquivMaxStates,
+		Faults: opts.Faults, FaultCycles: opts.FaultCycles, FaultsPerRegion: opts.FaultsPerRegion,
+		OnVerdict: func(v vflow.Verdict) {
+			switch v.Status {
+			case vflow.Ran:
+				j.event("gate", v.Step, v.Reason)
+			case vflow.Skipped, vflow.Downgraded:
+				j.event("note", v.Step, v.Reason)
+			} // a failed gate is reported by the job's terminal event
 		},
 	})
+	if out.Lint != nil {
+		if lj, err := out.Lint.JSON(); err == nil {
+			arts[ArtifactLint] = lj
+		}
+	}
+	if out.Static != nil {
+		putJSON(arts, ArtifactStatic, out.Static.WriteJSON)
+	}
+	if out.Equiv != nil {
+		putJSON(arts, ArtifactEquiv, out.Equiv.WriteJSON)
+	}
+	if out.Faults != nil {
+		putJSON(arts, ArtifactFaults, out.Faults.WriteJSON)
+	}
 	if err != nil {
 		return arts, err
 	}
-
-	// Post-export lint over the final design, cross-checked against the
-	// constraints the run generated. The rule family follows the backend:
-	// DS-* (reusing the flow's derived control-network IR) after a
-	// desynchronization, TP-* after a two-phase conversion.
-	lopts := lint.Options{Constraints: res.Constraints, Parallelism: opts.Parallelism}
-	if res.Backend == core.BackendDesync {
-		lopts.Desync = true
-		lopts.Network = res.Network
-	} else {
-		lopts.TwoPhase = true
-	}
-	lrep := lint.Check(d.Top, lopts)
-	if lj, err := lrep.JSON(); err == nil {
-		arts[ArtifactLint] = lj
-	}
-	if n := lrep.Errors(); n > 0 {
-		return arts, fmt.Errorf("post-export lint gate: %d error(s), first: %s", n, lrep.Findings[0])
-	}
-	j.event("gate", "lint", "post-export lint clean")
-
-	// The remaining gates model the handshake control network, so they run
-	// only for the desync backend. Canonicalization already zeroed the equiv
-	// and faults knobs for other backends; if the submitter asked anyway, say
-	// why nothing ran instead of silently passing.
-	staticOK := false
-	equivRan := false
-	equivNote := ""
-	if res.Backend == core.BackendDesync {
-		// Static marked-graph gate: always on, polynomial time.
-		srep, err := mga.Analyze(d.Top, res.Network, mga.Options{})
-		if err != nil {
-			return arts, fmt.Errorf("static marked-graph gate: %w", err)
-		}
-		var sbuf bytes.Buffer
-		if err := srep.WriteJSON(&sbuf); err == nil {
-			arts[ArtifactStatic] = sbuf.Bytes()
-		}
-		if n := srep.LintReport(srep.ModelFindings).Errors(); n > 0 {
-			return arts, fmt.Errorf("static marked-graph gate: %d error finding(s)", n)
-		}
-		j.event("gate", "static", "liveness, safety and period verdicts clean")
-		staticOK = true
-
-		equivRan, equivNote, err = runEquivGate(ctx, j, d, res, opts, arts)
-		if err != nil {
-			return arts, err
-		}
-		if opts.Faults {
-			if err := runFaultsGate(ctx, j, d, res, opts, period, arts); err != nil {
-				return arts, err
-			}
-		}
-	} else {
-		j.event("note", "static", "marked-graph gates model the handshake control network; not applicable to the "+res.Backend+" backend")
-		if j.req.Options.Equiv || j.req.Options.Faults {
-			j.event("note", "gates", "equiv and faults gates are desync-only; dropped at canonicalization")
-		}
+	d, res := out.Design, out.Result
+	if res.Backend != core.BackendDesync && (j.req.Options.Equiv || j.req.Options.Faults) {
+		j.event("note", "gates", "equiv and faults gates are desync-only; dropped at canonicalization")
 	}
 
 	arts[ArtifactNetlist] = []byte(verilog.Write(d))
@@ -198,9 +153,16 @@ func runFlow(ctx context.Context, j *job, jobParallelism int) (map[string][]byte
 		CacheKey: j.key, Options: canonical,
 		Period: period, Regions: res.Grouping.Groups,
 		Cleaned: res.CleanedCells, FFs: res.Substitution.FFs,
-		UnderMargin: res.UnderMargin, LintErrors: lrep.Errors(),
-		StaticOK: staticOK, EquivRan: equivRan, EquivNote: equivNote,
+		UnderMargin: res.UnderMargin, LintErrors: out.Lint.Errors(),
+		StaticOK:  out.Verdict(vflow.GateStatic).Status == vflow.Ran,
+		EquivRan:  out.Verdict(vflow.GateEquiv).Status == vflow.Ran,
 		FaultsRan: opts.Faults,
+		Degraded:  out.Degraded,
+	}
+	if v := out.Verdict(vflow.GateEquiv); v.Status == vflow.Downgraded {
+		sum.EquivNote = v.Reason
+	} else if out.Equiv != nil && out.Equiv.Truncated {
+		sum.EquivNote = fmt.Sprintf("truncated at %d markings; properties hold only up to this bound", out.Equiv.States)
 	}
 	if res.Insert != nil {
 		sum.Controllers = res.Insert.Controllers
@@ -220,91 +182,23 @@ func runFlow(ctx context.Context, j *job, jobParallelism int) (map[string][]byte
 	return arts, nil
 }
 
-// runEquivGate runs the exhaustive marked-graph exploration when requested
-// and within the marking budget's reach, mirroring drdesync's downgrade
-// discipline: past the estimate, the static verdicts stand alone and the
-// job says so in an explicit note instead of truncating a search.
-func runEquivGate(ctx context.Context, j *job, d *netlist.Design, res *core.Result,
-	opts FlowOptions, arts map[string][]byte) (ran bool, note string, err error) {
-	if !opts.Equiv {
-		return false, "", nil
+// putJSON stores a report's JSON rendering as an artifact.
+func putJSON(arts map[string][]byte, name string, write func(io.Writer) error) {
+	var b bytes.Buffer
+	if write(&b) == nil {
+		arts[name] = b.Bytes()
 	}
-	budget := opts.EquivMaxStates
-	if budget <= 0 {
-		budget = equiv.DefaultMaxStates
-	}
-	if est := mga.StateEstimate(res.Grouping.Groups); est > uint64(budget) {
-		note = fmt.Sprintf("state estimate %d exceeds the %d-marking budget; static verdicts stand alone", est, budget)
-		j.event("note", "equiv", note)
-		return false, note, nil
-	}
-	m, err := equiv.FromNetwork(d.Top, res.Network)
-	if err != nil {
-		return false, "", fmt.Errorf("equiv gate: %w", err)
-	}
-	eres, err := m.Explore(ctx, equiv.ExploreOptions{
-		MaxStates: opts.EquivMaxStates, Parallelism: opts.Parallelism,
-	})
-	if err != nil {
-		return false, "", fmt.Errorf("equiv gate: %w", err)
-	}
-	var ebuf bytes.Buffer
-	if err := eres.WriteJSON(&ebuf); err == nil {
-		arts[ArtifactEquiv] = ebuf.Bytes()
-	}
-	if n := eres.Report(m.Findings).Errors(); n > 0 {
-		return true, "", fmt.Errorf("equiv gate: %d error finding(s)", n)
-	}
-	if eres.Truncated {
-		note = fmt.Sprintf("truncated at %d markings; properties hold only up to this bound", eres.States)
-	}
-	j.event("gate", "equiv", "deadlock-freedom, phase safety and flow equivalence clean")
-	return true, note, nil
-}
-
-// runFaultsGate runs the default delay + control-stuck-at campaign against
-// the freshly desynchronized design and attaches the report. Escapes do not
-// fail the job — the report is the product — matching drdesync -faults.
-func runFaultsGate(ctx context.Context, j *job, d *netlist.Design, res *core.Result,
-	opts FlowOptions, period float64, arts map[string][]byte) error {
-	c, err := faults.NewCampaign(ctx, d.Top, faults.Config{
-		Stimulus:      faults.ResetStimulus(d.Top, 0),
-		Horizon:       2 + period*float64(opts.FaultCycles)*6,
-		QuiescenceGap: 8 * period,
-		SetupGuard:    true,
-		Parallelism:   opts.Parallelism,
-	})
-	if err != nil {
-		return fmt.Errorf("fault campaign: %w", err)
-	}
-	list := c.DelayFaults(40, opts.FaultsPerRegion)
-	list = append(list, c.ControlStuckFaults()...)
-	rep, err := c.Run(ctx, list)
-	if err != nil {
-		return fmt.Errorf("fault campaign: %w", err)
-	}
-	var fbuf bytes.Buffer
-	if err := rep.WriteJSON(&fbuf); err == nil {
-		arts[ArtifactFaults] = fbuf.Bytes()
-	}
-	j.event("gate", "faults", fmt.Sprintf("campaign ran %d faults", len(list)))
-	return nil
 }
 
 // derivePeriod measures the input design's synchronous clock period the way
 // the experiment flows do: the worst launch-to-capture budget over all
 // regions at the worst corner, with a 5% clock margin.
 func derivePeriod(ctx context.Context, m *netlist.Module, parallelism int) (float64, error) {
-	rds, err := sta.RegionDelays(ctx, m, netlist.Worst, sta.Options{})
+	rds, err := sta.RegionDelays(ctx, m, netlist.Worst, sta.Options{Parallelism: parallelism})
 	if err != nil {
 		return 0, err
 	}
-	p := 0.0
-	for _, rd := range rds {
-		if b := rd.Budget(); b > p {
-			p = b
-		}
-	}
+	p := sta.WorstBudget(rds)
 	if p <= 0 {
 		return 0, fmt.Errorf("no launch-to-capture budgets found")
 	}

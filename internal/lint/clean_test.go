@@ -51,7 +51,7 @@ func TestARMGoldenFlowLintsClean(t *testing.T) {
 	}
 	mustClean(t, "synchronous ARM", lint.Check(d.Top, lint.Options{}))
 
-	res, err := core.Desynchronize(context.Background(), d, core.Options{Period: 5.0, ManualGroups: true})
+	res, err := core.Convert(context.Background(), d, core.Options{Period: 5.0, ManualGroups: true})
 	if err != nil {
 		t.Fatal(err)
 	}

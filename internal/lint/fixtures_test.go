@@ -82,7 +82,7 @@ func buildTiny(t *testing.T, lib *netlist.Library) (*netlist.Design, *core.Resul
 		}
 	}
 	d := &netlist.Design{Name: "tiny", Top: m, Modules: map[string]*netlist.Module{"tiny": m}, Lib: lib}
-	res, err := core.Desynchronize(context.Background(), d, core.Options{Period: 2.0, ManualGroups: true})
+	res, err := core.Convert(context.Background(), d, core.Options{Period: 2.0, ManualGroups: true})
 	if err != nil {
 		t.Fatal(err)
 	}

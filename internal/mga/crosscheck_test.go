@@ -30,7 +30,7 @@ func analyzeStatic(t *testing.T, d *netlist.Design) *Report {
 
 func explore(t *testing.T, mod *netlist.Module) *equiv.Result {
 	t.Helper()
-	m, err := equiv.FromModule(mod)
+	m, err := equiv.FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestRegionAwarePlacementTightensDelayElements(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := core.Desynchronize(context.Background(), d, core.Options{Period: 5}); err != nil {
+		if _, err := core.Convert(context.Background(), d, core.Options{Period: 5}); err != nil {
 			t.Fatal(err)
 		}
 		return d

@@ -60,7 +60,7 @@ func TestResizeRespectsDesynchronizedNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := core.Desynchronize(context.Background(), d, core.Options{Period: 5})
+	cres, err := core.Convert(context.Background(), d, core.Options{Period: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

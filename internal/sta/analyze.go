@@ -205,6 +205,17 @@ type RegionDelay struct {
 // Budget is the total delay a matched delay element must exceed.
 func (rd RegionDelay) Budget() float64 { return rd.ClkToQ + rd.CombMax + rd.Setup }
 
+// WorstBudget is the largest launch-to-capture budget over all regions:
+// the synchronous clock period the critical region implies (0 when there
+// are no regions).
+func WorstBudget(rds map[int]*RegionDelay) float64 {
+	worst := 0.0
+	for _, rd := range rds {
+		worst = max(worst, rd.Budget())
+	}
+	return worst
+}
+
 // RegionDelays computes, for each group id present in the module, the
 // combinational critical path into that group's sequential elements
 // (§3.2.5). The analysis runs register-bounded (latches opaque), so each
