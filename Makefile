@@ -15,9 +15,14 @@ build:
 test:
 	$(GO) test ./...
 
-# Compiler-level static analysis, runnable on its own.
+# Compiler-level static analysis, runnable on its own, plus the formatting
+# gate: any tracked .go file the selected toolchain's gofmt would rewrite
+# fails the target.
 vet:
 	$(GO) vet ./...
+	@files="$$(git ls-files '*.go')" && \
+		unformatted="$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$files)" && \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Static verification: repolint enforces the repo's own coding conventions,
 # drlint verifies both example designs before and (via the flow's built-in

@@ -10,8 +10,6 @@
 //	drserve [-addr :8080] [-queue 16] [-workers 2] [-j N] [-cache 64]
 //	        [-max-upload 4194304] [-drain-grace 5s]
 //	drserve -smoke
-//	drserve -loadtest [-clients 8] [-rounds 2] [-designs dlx,arm,fir]
-//	        [-addr ...]
 //
 // API:
 //
@@ -33,13 +31,13 @@
 //
 // -smoke starts an in-process server on an ephemeral port, submits the
 // DLX, polls it to completion, resubmits and verifies the cache hit is
-// instant and byte-identical — the make-check gate. -loadtest drives a
-// load test against -addr (starting an in-process server when the flag is
-// left at its default), prints the latency/throughput/cache table, then
-// sends itself SIGTERM to exercise the drain path for real.
+// instant and byte-identical — the make-check gate. Load is measured by
+// the repository benchmark's serve workload (bash perfbench/run.sh
+// --workload serve), which sends a fresh-plus-cached-repeat mix over real
+// HTTP and checks every artifact against a pinned digest.
 //
-// Exit codes: 0 clean (server drained, smoke passed, load test passed),
-// 1 failure, 2 usage errors.
+// Exit codes: 0 clean (server drained, smoke passed), 1 failure, 2 usage
+// errors.
 package main
 
 import (
@@ -54,7 +52,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"desync/internal/cliutil"
@@ -74,18 +71,14 @@ type serveOpts struct {
 	drainGrace time.Duration
 	jobJ       int
 
-	smoke    bool
-	loadtest bool
-	clients  int
-	rounds   int
-	designs  string
+	smoke bool
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("drserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	o := serveOpts{}
-	fs.StringVar(&o.addr, "addr", ":8080", "listen address (server) or target address (loadtest)")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.queue, "queue", 0, "queued-job bound; past it submissions get 503 (0 = 16)")
 	fs.IntVar(&o.workers, "workers", 0, "jobs run concurrently (0 = 2)")
 	fs.IntVar(&o.cache, "cache", 0, "content-addressed result cache entries (0 = 64)")
@@ -93,10 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&o.drainGrace, "drain-grace", 0, "running-job grace after SIGTERM (0 = 5s)")
 	cliutil.ParallelismVar(fs, &o.jobJ)
 	fs.BoolVar(&o.smoke, "smoke", false, "run the self-contained smoke check and exit")
-	fs.BoolVar(&o.loadtest, "loadtest", false, "run a load test and exit")
-	fs.IntVar(&o.clients, "clients", 8, "loadtest: concurrent clients")
-	fs.IntVar(&o.rounds, "rounds", 2, "loadtest: rounds per client over the design list")
-	fs.StringVar(&o.designs, "designs", "dlx,arm,fir", "loadtest: comma-separated gen designs")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -112,16 +101,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var err error
 	var interrupted bool
-	switch {
-	case o.smoke:
+	if o.smoke {
 		interrupted, err = cliutil.RunDrained(func(ctx context.Context) error {
 			return runSmoke(ctx, cfg, stdout)
 		})
-	case o.loadtest:
-		interrupted, err = cliutil.RunDrained(func(ctx context.Context) error {
-			return runLoadTest(ctx, cfg, o, stdout)
-		})
-	default:
+	} else {
 		interrupted, err = cliutil.RunDrained(func(ctx context.Context) error {
 			return runServer(ctx, cfg, o.addr, stdout)
 		})
@@ -246,47 +230,6 @@ func runSmoke(ctx context.Context, cfg flowserv.Config, stdout io.Writer) error 
 	}
 	fmt.Fprintf(stdout, "drserve: smoke ok (fresh %v, cached %v, byte-identical netlist, drained)\n",
 		freshTook.Round(time.Millisecond), hitTook.Round(time.Microsecond))
-	return nil
-}
-
-// runLoadTest drives the load table and then exercises the SIGTERM drain
-// path for real by signalling itself.
-func runLoadTest(ctx context.Context, cfg flowserv.Config, o serveOpts, stdout io.Writer) error {
-	base := "http://" + strings.TrimPrefix(o.addr, "http://")
-	var shutdown func() error
-	if o.addr == ":8080" { // default flag: self-host on an ephemeral port
-		var err error
-		base, shutdown, err = startLocal(ctx, cfg)
-		if err != nil {
-			return err
-		}
-	}
-	rep, err := flowserv.RunLoadTest(ctx, flowserv.LoadConfig{
-		BaseURL: base,
-		Clients: o.clients,
-		Rounds:  o.rounds,
-		Designs: strings.Split(o.designs, ","),
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(stdout, rep.Render())
-	if len(rep.Errors) > 0 {
-		return fmt.Errorf("%d job(s) failed during the load test", len(rep.Errors))
-	}
-	if shutdown == nil {
-		return nil
-	}
-	// Exercise the real signal path: SIGTERM ourselves, then drain the
-	// in-process server under the now-canceled context.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		return fmt.Errorf("self-SIGTERM: %w", err)
-	}
-	<-ctx.Done()
-	if err := shutdown(); err != nil {
-		return fmt.Errorf("drain under SIGTERM: %w", err)
-	}
-	fmt.Fprintln(stdout, "drserve: drained cleanly under SIGTERM")
 	return nil
 }
 

@@ -38,8 +38,7 @@ type Backend interface {
 	Name() string
 	// Canonicalize applies backend-specific defaulting and zeroes the
 	// knobs this backend never reads, or rejects an unknown Mode. The
-	// shared knobs (Backend, Margin, TapScales) are already canonical when
-	// it runs.
+	// shared knobs (Backend, Margin) are already canonical when it runs.
 	Canonicalize(o Options) (Options, error)
 	// Substitute replaces the clocked flip-flops with backend-specific
 	// storage (both current backends share the master/slave latch

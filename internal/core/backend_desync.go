@@ -17,10 +17,7 @@ type desyncBackend struct{}
 
 func (desyncBackend) Name() string { return BackendDesync }
 
-// Canonicalize defaults the mode to matched delay elements, defaults the
-// completion margin under ModeCompletion and zeroes it everywhere else —
-// the knob is inert without a completion network, and a live inert knob
-// would split the job server's cache entries.
+// Canonicalize defaults the mode to matched delay elements.
 func (desyncBackend) Canonicalize(o Options) (Options, error) {
 	switch o.Mode {
 	case "":
@@ -29,13 +26,6 @@ func (desyncBackend) Canonicalize(o Options) (Options, error) {
 	default:
 		return o, fmt.Errorf("unknown desync mode %q (want %q or %q)",
 			o.Mode, ModeMatched, ModeCompletion)
-	}
-	if o.Mode == ModeCompletion {
-		if o.CompletionMargin == 0 {
-			o.CompletionMargin = 2
-		}
-	} else {
-		o.CompletionMargin = 0
 	}
 	return o, nil
 }
@@ -66,10 +56,8 @@ func (desyncBackend) Generate(ctx context.Context, f *Flow) error {
 		f.Res.DelayLevels, InsertOptions{
 			Margin:              f.Opts.Margin,
 			MuxTaps:             f.Opts.MuxTaps,
-			TapScales:           f.Opts.TapScales,
 			Period:              f.Opts.Period,
 			CompletionDetection: f.Opts.Mode == ModeCompletion,
-			CompletionMargin:    f.Opts.CompletionMargin,
 		})
 	if err != nil {
 		return err

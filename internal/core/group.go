@@ -185,15 +185,6 @@ func compactGroups(m *netlist.Module) int {
 	return len(ids)
 }
 
-// GroupsOf returns the instance lists per group id.
-func GroupsOf(m *netlist.Module) map[int][]*netlist.Inst {
-	out := map[int][]*netlist.Inst{}
-	for _, in := range m.Insts {
-		out[in.Group] = append(out[in.Group], in)
-	}
-	return out
-}
-
 // MarkFalsePaths flags the named nets as false paths so grouping and the
 // dependency graph ignore them (global resets, clock-gating enables —
 // §3.2.2 "False Paths"). Unknown names are reported.

@@ -48,11 +48,9 @@ type InsertOptions struct {
 	// Margin scales the matched delay elements over the measured budget.
 	Margin float64
 	// MuxTaps builds 8-tap multiplexed delay elements (Fig 5.3's
-	// calibration knob) selected by new top-level ports delsel[2:0].
+	// calibration knob) selected by new top-level ports delsel[2:0], with
+	// the per-tap multipliers of tapScales.
 	MuxTaps bool
-	// TapScales are the per-tap multipliers applied to the sized length
-	// when MuxTaps is set; defaults to DefaultTapScales.
-	TapScales []float64
 	// Period is the original clock period used for the latch-enable clock
 	// constraints (Fig 4.2); zero skips clock constraint generation.
 	Period float64
@@ -61,18 +59,20 @@ type InsertOptions struct {
 	// when the region's outputs have actually resolved, giving
 	// data-dependent average-case timing at ~2x combinational area.
 	CompletionDetection bool
-	// CompletionMargin is the extra slow-rise levels on each DONE signal.
-	CompletionMargin int
 }
 
-// DefaultTapScales spreads eight taps below and above the sized length.
+// completionMargin is the extra slow-rise levels on each DONE signal of a
+// completion network.
+const completionMargin = 2
+
+// tapScales spreads eight taps below and above the sized length.
 // Desynchronized latch pairs borrow time through transparency, so the
 // request delay a region truly needs is well below the conservative
 // launch+comb+setup budget the sizing uses (index 4 = 1.0); taps 0 and 1
 // sit firmly below the failure boundary so the Fig 5.3 sweep shows the
 // "too short delay elements" points at the same selections in both
 // corners, with selection 2 the best working setup, as in the paper.
-var DefaultTapScales = []float64{0.03, 0.07, 0.45, 0.7, 1.0, 1.4, 1.8, 2.2}
+var tapScales = []float64{0.03, 0.07, 0.45, 0.7, 1.0, 1.4, 1.8, 2.2}
 
 // InsertResult reports what the network insertion created.
 type InsertResult struct {
@@ -124,10 +124,6 @@ func InsertControlNetwork(d *netlist.Design, ddg *DDG, enables map[int]EnableNet
 
 	// Tap-select ports when calibration muxes are requested.
 	var sel []*netlist.Net
-	tapScales := opts.TapScales
-	if tapScales == nil {
-		tapScales = DefaultTapScales
-	}
 	if opts.MuxTaps {
 		for i := 0; i < 3; i++ {
 			sel = append(sel, m.AddPort(fmt.Sprintf("delsel[%d]", i), netlist.In).Net)
@@ -244,7 +240,7 @@ func InsertControlNetwork(d *netlist.Design, ddg *DDG, enables map[int]EnableNet
 		completed := false
 		reqFromCdet := ""
 		if opts.CompletionDetection {
-			built, doneInst, err := insertCompletion(m, lib, g, reqSrc, r.mri, opts.CompletionMargin, res)
+			built, doneInst, err := insertCompletion(m, lib, g, reqSrc, r.mri, res)
 			if err != nil {
 				return nil, err
 			}
@@ -266,7 +262,7 @@ func InsertControlNetwork(d *netlist.Design, ddg *DDG, enables map[int]EnableNet
 			spec := handshake.DelayElementSpec{Levels: lv}
 			var selNets []*netlist.Net
 			if opts.MuxTaps {
-				spec = muxedSpec(lv, tapScales)
+				spec = muxedSpec(lv)
 				selNets = sel
 			}
 			if err := handshake.AddDelayElement(m, lib, ctrlnet.DelayPrefix(g), reqSrc, r.mri, rst, selNets, spec); err != nil {
@@ -341,7 +337,7 @@ func InsertControlNetwork(d *netlist.Design, ddg *DDG, enables map[int]EnableNet
 // the master's request input. Returns false when the region has no cloud to
 // detect (pure register chains), and the instance name driving done.
 func insertCompletion(m *netlist.Module, lib *netlist.Library, g int,
-	goNet, done *netlist.Net, margin int, res *InsertResult) (bool, string, error) {
+	goNet, done *netlist.Net, res *InsertResult) (bool, string, error) {
 
 	var cloud []*netlist.Inst
 	inCloud := map[*netlist.Inst]bool{}
@@ -384,7 +380,7 @@ func insertCompletion(m *netlist.Module, lib *netlist.Library, g int,
 		return false, "", nil
 	}
 	sort.Slice(detect, func(i, j int) bool { return detect[i].Name < detect[j].Name })
-	r, err := cdet.AddCompletionNetwork(m, lib, ctrlnet.CdetPrefix(g), cloud, detect, goNet, done, margin)
+	r, err := cdet.AddCompletionNetwork(m, lib, ctrlnet.CdetPrefix(g), cloud, detect, goNet, done, completionMargin)
 	if err != nil {
 		return false, "", err
 	}
@@ -429,11 +425,12 @@ func masterSlaveLevels(lib *netlist.Library, margin float64) int {
 	return n
 }
 
-// muxedSpec builds an 8-tap spec spreading scales around the sized length.
-func muxedSpec(base int, scales []float64) handshake.DelayElementSpec {
-	taps := make([]int, 0, len(scales))
+// muxedSpec builds an 8-tap spec spreading tapScales around the sized
+// length.
+func muxedSpec(base int) handshake.DelayElementSpec {
+	taps := make([]int, 0, len(tapScales))
 	last := 0
-	for _, s := range scales {
+	for _, s := range tapScales {
 		t := int(math.Ceil(float64(base) * s))
 		if t <= last {
 			t = last + 1

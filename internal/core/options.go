@@ -40,8 +40,6 @@ type Options struct {
 	// MuxTaps builds 8-tap multiplexed delay elements selected by new
 	// delsel[2:0] ports (the calibration knob of Fig 5.3). Desync only.
 	MuxTaps bool
-	// TapScales overrides DefaultTapScales when MuxTaps is set.
-	TapScales []float64
 	// FalsePaths names nets the grouping and dependency analyses ignore
 	// (§3.2.2 "False Paths").
 	FalsePaths []string
@@ -51,9 +49,6 @@ type Options struct {
 	ManualGroups bool
 	// SkipClean disables buffer/inverter-pair removal.
 	SkipClean bool
-	// CompletionMargin adds slow-rise levels to each DONE under
-	// ModeCompletion (default 2); zeroed under every other mode.
-	CompletionMargin int
 	// StageCheck, when non-nil, runs after each stage's Validate boundary
 	// with the stage name and whether the snapshot is mid-flow (undriven
 	// latch-enable nets are legal). internal/vflow hooks the static lint
@@ -84,10 +79,6 @@ func (o Options) Canonicalize() (Options, error) {
 	}
 	if o.Margin == 0 {
 		o.Margin = 1.15
-	}
-	if !o.MuxTaps {
-		// Tap scales are inert without the mux ports.
-		o.TapScales = nil
 	}
 	be, err := NewBackend(o.Backend)
 	if err != nil {

@@ -131,13 +131,6 @@ func (b *Builder) Xor(a, c *netlist.Net) *netlist.Net {
 	return z
 }
 
-// AndNot returns a&!b.
-func (b *Builder) AndNot(a, c *netlist.Net) *netlist.Net {
-	z := b.fresh()
-	b.Gate("ANDN2X1", a, c, z)
-	return z
-}
-
 // Mux returns s ? hi : lo.
 func (b *Builder) Mux(lo, hi, s *netlist.Net) *netlist.Net {
 	z := b.fresh()

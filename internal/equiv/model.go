@@ -140,19 +140,6 @@ type Model struct {
 	Findings []lint.Finding
 }
 
-// SignalNames returns the design net names of all model signals, visible
-// ones (latch enables and environment channels) first.
-func (m *Model) SignalNames() (visible, hidden []string) {
-	for i := range m.sigs {
-		if m.visible(i) {
-			visible = append(visible, m.sigs[i].name)
-		} else {
-			hidden = append(hidden, m.sigs[i].name)
-		}
-	}
-	return visible, hidden
-}
-
 // visible reports whether a signal's transitions are property-relevant:
 // latch enables fire captures and reopens, environment channels advance the
 // input/output schedules. Everything else is internal handshake plumbing.

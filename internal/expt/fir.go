@@ -37,11 +37,9 @@ func RunFIRFlow(cfg FlowConfig) (*FIRFlow, error) {
 		return nil, err
 	}
 	core.CleanLogic(f.Sync.Top)
-	rds, err := sta.RegionDelays(context.Background(), f.Sync.Top, netlist.Worst, sta.Options{})
-	if err != nil {
+	if f.Period, err = sta.ClockPeriod(context.Background(), f.Sync.Top, netlist.Worst, sta.Options{}, 1.15); err != nil {
 		return nil, err
 	}
-	f.Period = sta.WorstBudget(rds) * 1.15
 
 	lib2 := stdcells.New(stdcells.HighSpeed)
 	if f.Desync, err = designs.BuildFIR(lib2); err != nil {

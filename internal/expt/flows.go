@@ -38,10 +38,8 @@ type DLXFlow struct {
 
 // FlowConfig selects optional steps.
 type FlowConfig struct {
-	MuxTaps   bool
-	TapScales []float64
-	Layout    bool
-	Program   []uint16
+	MuxTaps bool
+	Layout  bool
 	// Margin overrides the delay-element sizing margin (0 = default).
 	Margin float64
 	// SingleRegion desynchronizes the whole design as one region (the
@@ -62,10 +60,7 @@ type FlowConfig struct {
 // once through desynchronization plus the same backend.
 func RunDLXFlow(cfg FlowConfig) (*DLXFlow, error) {
 	lib := stdcells.New(stdcells.HighSpeed)
-	prog := cfg.Program
-	if prog == nil {
-		prog = designs.TestProgram()
-	}
+	prog := designs.TestProgram()
 	f := &DLXFlow{}
 	var err error
 	if f.Sync, err = designs.BuildDLX(lib, prog); err != nil {
@@ -81,8 +76,11 @@ func RunDLXFlow(cfg FlowConfig) (*DLXFlow, error) {
 	// same way the desynchronization import does, so the area comparison
 	// starts from the same logical netlist.
 	core.CleanLogic(f.Sync.Top)
-	f.Period, f.BestPeriod, err = syncPeriods(f.Sync)
-	if err != nil {
+	// The synchronous clock at both corners, with a small clock margin.
+	if f.Period, err = sta.ClockPeriod(context.Background(), f.Sync.Top, netlist.Worst, sta.Options{}, 1.05); err != nil {
+		return nil, err
+	}
+	if f.BestPeriod, err = sta.ClockPeriod(context.Background(), f.Sync.Top, netlist.Best, sta.Options{}, 1.05); err != nil {
 		return nil, err
 	}
 	if cfg.SingleRegion {
@@ -96,7 +94,6 @@ func RunDLXFlow(cfg FlowConfig) (*DLXFlow, error) {
 		Period:       f.Period,
 		Margin:       cfg.Margin,
 		MuxTaps:      cfg.MuxTaps,
-		TapScales:    cfg.TapScales,
 		ManualGroups: cfg.SingleRegion,
 		Parallelism:  cfg.Parallelism,
 	})
@@ -117,24 +114,6 @@ func RunDLXFlow(cfg FlowConfig) (*DLXFlow, error) {
 		}
 	}
 	return f, nil
-}
-
-// syncPeriods computes the synchronous clock period at both corners: the
-// worst launch-to-capture budget over all regions.
-func syncPeriods(d *netlist.Design) (worst, best float64, err error) {
-	for _, corner := range []netlist.Corner{netlist.Worst, netlist.Best} {
-		rds, err := sta.RegionDelays(context.Background(), d.Top, corner, sta.Options{})
-		if err != nil {
-			return 0, 0, err
-		}
-		p := sta.WorstBudget(rds) * 1.05 // small clock margin
-		if corner == netlist.Worst {
-			worst = p
-		} else {
-			best = p
-		}
-	}
-	return worst, best, nil
 }
 
 // ARMFlow holds the ARM case study (area only, as in §5.3).
@@ -179,8 +158,12 @@ func RunARMFlow(layout bool) (*ARMFlow, error) {
 	if f.Desync, err = build(); err != nil {
 		return nil, err
 	}
+	period, err := sta.ClockPeriod(context.Background(), f.Sync.Top, netlist.Worst, sta.Options{}, 1.05)
+	if err != nil {
+		return nil, err
+	}
 	if f.Result, err = core.Convert(context.Background(), f.Desync, core.Options{
-		Period:       armPeriod(f.Sync),
+		Period:       period,
 		ManualGroups: true,
 	}); err != nil {
 		return nil, err
@@ -199,14 +182,6 @@ func RunARMFlow(layout bool) (*ARMFlow, error) {
 		}
 	}
 	return f, nil
-}
-
-func armPeriod(d *netlist.Design) float64 {
-	rds, err := sta.RegionDelays(context.Background(), d.Top, netlist.Worst, sta.Options{})
-	if err != nil {
-		return 10
-	}
-	return sta.WorstBudget(rds) * 1.05
 }
 
 // MeasureRun is one desynchronized simulation outcome.

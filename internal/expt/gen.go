@@ -34,11 +34,9 @@ func RunGenFlow(spec string, cfg FlowConfig) (*GenFlow, error) {
 		return nil, err
 	}
 	core.CleanLogic(f.Sync.Top)
-	rds, err := sta.RegionDelays(context.Background(), f.Sync.Top, netlist.Worst, sta.Options{})
-	if err != nil {
+	if f.Period, err = sta.ClockPeriod(context.Background(), f.Sync.Top, netlist.Worst, sta.Options{}, 1.15); err != nil {
 		return nil, err
 	}
-	f.Period = sta.WorstBudget(rds) * 1.15
 
 	if f.Desync, err = designs.ParseSpec(spec, nil); err != nil {
 		return nil, err
@@ -49,7 +47,6 @@ func RunGenFlow(spec string, cfg FlowConfig) (*GenFlow, error) {
 		Period:       f.Period,
 		Margin:       cfg.Margin,
 		MuxTaps:      cfg.MuxTaps,
-		TapScales:    cfg.TapScales,
 		ManualGroups: designs.PreGrouped(spec),
 		Parallelism:  cfg.Parallelism,
 	})

@@ -90,7 +90,9 @@ func runFlow(ctx context.Context, j *job, jobParallelism int) (map[string][]byte
 
 	period := opts.Period
 	if period == 0 {
-		if period, err = derivePeriod(ctx, j.design.Top, opts.Parallelism); err != nil {
+		period, err = sta.ClockPeriod(ctx, j.design.Top, netlist.Worst,
+			sta.Options{Parallelism: opts.Parallelism}, 1.05)
+		if err != nil {
 			return arts, fmt.Errorf("deriving a period from STA: %w (pass options.period)", err)
 		}
 	}
@@ -188,19 +190,4 @@ func putJSON(arts map[string][]byte, name string, write func(io.Writer) error) {
 	if write(&b) == nil {
 		arts[name] = b.Bytes()
 	}
-}
-
-// derivePeriod measures the input design's synchronous clock period the way
-// the experiment flows do: the worst launch-to-capture budget over all
-// regions at the worst corner, with a 5% clock margin.
-func derivePeriod(ctx context.Context, m *netlist.Module, parallelism int) (float64, error) {
-	rds, err := sta.RegionDelays(ctx, m, netlist.Worst, sta.Options{Parallelism: parallelism})
-	if err != nil {
-		return 0, err
-	}
-	p := sta.WorstBudget(rds)
-	if p <= 0 {
-		return 0, fmt.Errorf("no launch-to-capture budgets found")
-	}
-	return p * 1.05, nil
 }

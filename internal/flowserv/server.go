@@ -74,11 +74,11 @@ func (c Config) withDefaults() Config {
 
 // ServerStats is the GET /stats body.
 type ServerStats struct {
-	Queued   int        `json:"queued"`
-	Running  int        `json:"running"`
-	Done     int        `json:"done"`
-	Failed   int        `json:"failed"`
-	Canceled int        `json:"canceled"`
+	Queued   int `json:"queued"`
+	Running  int `json:"running"`
+	Done     int `json:"done"`
+	Failed   int `json:"failed"`
+	Canceled int `json:"canceled"`
 	// Attached counts submissions that rode an identical in-flight run
 	// instead of queueing their own (cumulative).
 	Attached int        `json:"attached"`
@@ -109,9 +109,10 @@ type Server struct {
 
 // New builds a server from cfg (zero fields take the documented defaults).
 func New(cfg Config) *Server {
+	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg.withDefaults(),
-		results:  newCache(cfg.withDefaults().CacheEntries),
+		cfg:      cfg,
+		results:  newCache(cfg.CacheEntries),
 		jobs:     map[string]*job{},
 		inflight: map[string]*job{},
 		nextID:   1,

@@ -266,21 +266,6 @@ func (c *CellDef) Arc(from, to string) *TimingArc {
 	return nil
 }
 
-// MaxDelay returns the largest rise/fall delay of any arc at the corner;
-// used for quick cell-level estimates.
-func (c *CellDef) MaxDelay(corner Corner) float64 {
-	var m float64
-	for _, a := range c.Arcs {
-		if d := a.Rise.At(corner); d > m {
-			m = d
-		}
-		if d := a.Fall.At(corner); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Library is a set of cells plus identification of the technology node and
 // variant (High-Speed vs Low-Leakage, §5).
 type Library struct {

@@ -160,13 +160,6 @@ func (m *Module) InstByID(id InstID) *Inst {
 	return m.instsByID[id]
 }
 
-// NetIDBound returns the exclusive upper bound of net IDs ever assigned in
-// this module; a side table of this length is indexable by every NetID.
-func (m *Module) NetIDBound() int { return len(m.netsByID) }
-
-// InstIDBound is the instance counterpart of NetIDBound.
-func (m *Module) InstIDBound() int { return len(m.instsByID) }
-
 // containsNet reports whether n is a live record of this module (O(1) via
 // the ID index; safe on foreign or hand-built records).
 func (m *Module) containsNet(n *Net) bool {

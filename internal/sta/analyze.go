@@ -216,6 +216,22 @@ func WorstBudget(rds map[int]*RegionDelay) float64 {
 	return worst
 }
 
+// ClockPeriod is the synchronous clock period a module implies at a
+// corner: the worst launch-to-capture budget over all regions, scaled by
+// the caller's clock margin. It errors when the module has no budget to
+// time (no registers).
+func ClockPeriod(ctx context.Context, m *netlist.Module, corner netlist.Corner, opts Options, margin float64) (float64, error) {
+	rds, err := RegionDelays(ctx, m, corner, opts)
+	if err != nil {
+		return 0, err
+	}
+	p := WorstBudget(rds)
+	if p <= 0 {
+		return 0, fmt.Errorf("no launch-to-capture budgets found")
+	}
+	return p * margin, nil
+}
+
 // RegionDelays computes, for each group id present in the module, the
 // combinational critical path into that group's sequential elements
 // (§3.2.5). The analysis runs register-bounded (latches opaque), so each

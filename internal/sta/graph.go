@@ -13,7 +13,6 @@ package sta
 
 import (
 	"fmt"
-	"sort"
 
 	"desync/internal/logic"
 	"desync/internal/netlist"
@@ -351,19 +350,11 @@ func (g *Graph) PortID(port string) int {
 	return -1
 }
 
-// Endpoints returns the endpoint node ids (sequential inputs, output ports).
-func (g *Graph) Endpoints() []int { return append([]int(nil), g.ends...) }
-
 // NodeName renders a node id for reports.
 func (g *Graph) NodeName(id int) string { return g.keys[id].String() }
 
 // nodeInst returns the instance of a node (nil for ports).
 func (g *Graph) nodeInst(id int) *netlist.Inst { return g.keys[id].inst }
-
-// SortStable sorts ids by name for deterministic reports.
-func (g *Graph) SortStable(ids []int) {
-	sort.Slice(ids, func(i, j int) bool { return g.NodeName(ids[i]) < g.NodeName(ids[j]) })
-}
 
 // EdgeInfo is an exported view of one timing arc for external propagation
 // engines (statistical STA). Delay is the worse of the rise/fall values.

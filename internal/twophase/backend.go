@@ -22,15 +22,13 @@ type backend struct{}
 func (backend) Name() string { return core.BackendTwoPhase }
 
 // Canonicalize rejects modes — the backend has a single strategy — and
-// zeroes the desync-only knobs (mux taps, completion margin), which are
-// inert here and would otherwise split the job server's cache entries.
+// zeroes the desync-only mux-taps knob, which is inert here and would
+// otherwise split the job server's cache entries.
 func (backend) Canonicalize(o core.Options) (core.Options, error) {
 	if o.Mode != "" {
 		return o, fmt.Errorf("the twophase backend has no modes (got %q)", o.Mode)
 	}
 	o.MuxTaps = false
-	o.TapScales = nil
-	o.CompletionMargin = 0
 	return o, nil
 }
 

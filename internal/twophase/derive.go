@@ -2,8 +2,8 @@ package twophase
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"desync/internal/ctrlnet"
 	"desync/internal/netlist"
@@ -137,7 +137,7 @@ func Diff(c *Claim, n *Network) []ctrlnet.Mismatch {
 	miss := func(g int, format string, args ...any) {
 		out = append(out, ctrlnet.Mismatch{Region: g, What: fmt.Sprintf(format, args...)})
 	}
-	if !equalInts(c.Regions, n.Regions) {
+	if !slices.Equal(c.Regions, n.Regions) {
 		miss(-1, "claimed regions %v, netlist has %v", c.Regions, n.Regions)
 		return out // per-region checks would only cascade noise
 	}
@@ -163,30 +163,4 @@ func Diff(c *Claim, n *Network) []ctrlnet.Mismatch {
 		}
 	}
 	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// IsGeneratorInst reports whether an instance belongs to the two-phase
-// network: the generator core by name, or a region's distribution buffer.
-func IsGeneratorInst(name string) bool {
-	if ctrlnet.IsTPGenName(name) {
-		return true
-	}
-	if g, ok := ctrlnet.Region(name); ok {
-		return name == ctrlnet.TPDistName(g, true) || name == ctrlnet.TPDistName(g, false) ||
-			strings.HasPrefix(name, ctrlnet.TPDistName(g, true)+"/") ||
-			strings.HasPrefix(name, ctrlnet.TPDistName(g, false)+"/")
-	}
-	return false
 }

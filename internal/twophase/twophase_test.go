@@ -185,15 +185,13 @@ func TestModeRejected(t *testing.T) {
 
 func TestCanonicalizeZeroesDesyncKnobs(t *testing.T) {
 	o, err := core.Options{
-		Backend:          core.BackendTwoPhase,
-		MuxTaps:          true,
-		TapScales:        []float64{1, 2},
-		CompletionMargin: 5,
+		Backend: core.BackendTwoPhase,
+		MuxTaps: true,
 	}.Canonicalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.MuxTaps || o.TapScales != nil || o.CompletionMargin != 0 {
+	if o.MuxTaps {
 		t.Errorf("desync-only knobs survived canonicalization: %+v", o)
 	}
 	if o.Margin != 1.15 {
