@@ -113,10 +113,7 @@ func ecoMeasure(ctx context.Context, d *netlist.Design, res *Result, g int, ctl 
 	if math.IsInf(elem, -1) {
 		return 0, 0, fmt.Errorf("core: region %d request path unconstrained", g)
 	}
-	rds, err := sta.RegionDelays(ctx, d.Top, netlist.Worst, sta.Options{
-		Disabled:      res.DisabledArcMap(),
-		UseWireDelays: true,
-	})
+	rds, err := r.RegionDelays(ctx, 0)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -20,10 +20,7 @@
 package ctrlnet
 
 import (
-	"context"
-
 	"desync/internal/netlist"
-	"desync/internal/sta"
 )
 
 // Phase is a latch's side of the master/slave substitution.
@@ -231,17 +228,4 @@ func (n *Network) ControlNet(g int, suffix string) *netlist.Net {
 		}
 	}
 	return n.Module.Net(Name(g, suffix))
-}
-
-// RegionBudgets computes every region's launch-to-capture budget with the
-// given loop-breaking arc disables — the STA view the matched elements are
-// checked against. A convenience wrapper so IR consumers need not assemble
-// sta.Options themselves; it runs to completion (no cancellation point).
-// parallelism bounds the per-region extraction workers (0: GOMAXPROCS); the
-// budgets are identical at any value.
-func (n *Network) RegionBudgets(disabled map[sta.ArcKey]bool, parallelism int) (map[int]*sta.RegionDelay, error) {
-	return sta.RegionDelays(context.Background(), n.Module, netlist.Worst, sta.Options{
-		Corner: netlist.Worst, AutoBreakLoops: true, Disabled: disabled,
-		Parallelism: parallelism,
-	})
 }

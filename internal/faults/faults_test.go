@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"sync"
@@ -93,6 +94,30 @@ func TestControlStuckFaultsDetected(t *testing.T) {
 	}
 	if stall == 0 {
 		t.Errorf("no stuck-at fault classified as a stall:\n%s", rep.Render())
+	}
+}
+
+// TestCampaignReportReproducible runs the same campaign twice and requires
+// byte-identical JSON. Stuck handshakes deadlock the network, and the
+// quiescence watchdog then names the stalest handshake net; several nets
+// often stop at the same instant, so the name must not depend on map
+// iteration order.
+func TestCampaignReportReproducible(t *testing.T) {
+	c := dlxCampaign(t)
+	list := c.ControlStuckFaults()
+	render := func() []byte {
+		rep, err := c.Run(context.Background(), list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if a, b := render(), render(); !bytes.Equal(a, b) {
+		t.Fatalf("two runs of one campaign differ:\n%s\nvs\n%s", a, b)
 	}
 }
 

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -397,7 +398,9 @@ func (c *dsChecker) checkTiming(opts Options) {
 		}
 	}
 
-	rds, err := c.cn.RegionBudgets(staOpts.Disabled, opts.Parallelism)
+	// DS-MARGIN times the same graph: the matched elements are checked
+	// against the budgets of the loop-broken network.
+	rds, err := g.Analyze().RegionDelays(context.Background(), opts.Parallelism)
 	if err != nil {
 		c.r.addf(RuleMargin, Error, m.Name, "", "",
 			fmt.Sprintf("region delay analysis failed: %v", err))

@@ -214,7 +214,7 @@ func joinNames(names []string) string {
 // controllers implement.
 func (g *Graph) checkBounds(r *Report) {
 	const inf = int(1) << 30
-	buf := newDistBuf(len(g.Trans))
+	buf := newDistBuf(len(g.Trans), inf)
 	for _, p := range g.Places {
 		d := g.minTokenDist(p.Dst, p.Src, inf, buf)
 		if d >= inf {
@@ -244,51 +244,69 @@ func (g *Graph) checkBounds(r *Report) {
 // minTokenDist is a 0/1-weight shortest path from s to t over places
 // (weight = token count, clamped to 1), computed level by level: nodes
 // at the current token distance expand through 0-weight places in place,
-// 1-weight places feed the next level. O(places) per query — the graph
-// has two transitions per region, so this stays far from the quadratic
-// regime on any realistic design.
+// 1-weight places feed the next level. The search stops as soon as t is
+// popped, since its distance is final then, and the next query resets only
+// the entries this one touched — so a query costs the part of the graph
+// nearer to s than t, not the whole graph.
 func (g *Graph) minTokenDist(s, t, inf int, buf *distBuf) int {
 	dist := buf.dist
-	for i := range dist {
-		dist[i] = inf
+	for _, v := range buf.touched {
+		dist[v] = inf
 	}
+	touched := append(buf.touched[:0], s)
 	dist[s] = 0
 	cur, nxt := buf.cur[:0], buf.nxt[:0]
 	cur = append(cur, s)
-	for d := 0; len(cur) > 0; d++ {
+	found := inf
+	for d := 0; len(cur) > 0 && found == inf; d++ {
 		for len(cur) > 0 {
 			v := cur[len(cur)-1]
 			cur = cur[:len(cur)-1]
 			if dist[v] != d {
 				continue // superseded entry
 			}
+			if v == t {
+				found = d
+				break
+			}
 			for _, pid := range g.out[v] {
 				p := g.Places[pid]
-				if p.Tokens == 0 {
-					if d < dist[p.Dst] {
-						dist[p.Dst] = d
-						cur = append(cur, p.Dst)
-					}
-				} else if d+1 < dist[p.Dst] {
-					dist[p.Dst] = d + 1
+				w := d
+				if p.Tokens != 0 {
+					w = d + 1
+				}
+				if w >= dist[p.Dst] {
+					continue
+				}
+				if dist[p.Dst] == inf {
+					touched = append(touched, p.Dst)
+				}
+				dist[p.Dst] = w
+				if w == d {
+					cur = append(cur, p.Dst)
+				} else {
 					nxt = append(nxt, p.Dst)
 				}
 			}
 		}
 		cur, nxt = nxt, cur[:0]
 	}
-	buf.cur, buf.nxt = cur, nxt
-	return dist[t]
+	buf.cur, buf.nxt, buf.touched = cur, nxt, touched
+	return found
 }
 
 // distBuf is the scratch space minTokenDist reuses across the per-place
-// bound queries.
+// bound queries. dist holds inf everywhere except at the touched entries.
 type distBuf struct {
-	dist, cur, nxt []int
+	dist, cur, nxt, touched []int
 }
 
-func newDistBuf(n int) *distBuf {
-	return &distBuf{dist: make([]int, n), cur: make([]int, 0, n), nxt: make([]int, 0, n)}
+func newDistBuf(n, inf int) *distBuf {
+	buf := &distBuf{dist: make([]int, n), cur: make([]int, 0, n), nxt: make([]int, 0, n)}
+	for i := range buf.dist {
+		buf.dist[i] = inf
+	}
+	return buf
 }
 
 // checkDDG cross-checks the request wiring against the data dependencies:

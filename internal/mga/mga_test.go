@@ -217,3 +217,63 @@ func TestLintReportFoldsFindings(t *testing.T) {
 		t.Fatal("lint report lost the extra model finding")
 	}
 }
+
+// TestMinTokenDistReusedBuffer: one scratch buffer reused across every
+// bound query (minTokenDist stops at its target and resets only what the
+// previous query touched) answers exactly as a fresh buffer per query, on a
+// graph whose places have bounds 1, 2 and unbounded, in any query order.
+func TestMinTokenDistReusedBuffer(t *testing.T) {
+	const inf = int(1) << 30
+	g := &Graph{Design: "bounds"}
+	a := g.AddTransition("A", TransMaster, 1)
+	b := g.AddTransition("B", TransSlave, 1)
+	c := g.AddTransition("C", TransMaster, 2)
+	d := g.AddTransition("D", TransSlave, 2)
+	e := g.AddTransition("E", TransMaster, 3)
+	f := g.AddTransition("F", TransSlave, 3)
+	// A⇄B carries one token (bound 1), C⇄D two (bound 2), and B→E feeds a
+	// spinning E⇄F ring with no path back to B (unbounded). A zero-token
+	// detour A→C→B adds a 0-weight path the search must expand in place.
+	g.AddPlace(Place{Src: a, Dst: b, Tokens: 1, Name: "ab"})
+	g.AddPlace(Place{Src: b, Dst: a, Tokens: 0, Name: "ba"})
+	g.AddPlace(Place{Src: c, Dst: d, Tokens: 1, Name: "cd"})
+	g.AddPlace(Place{Src: d, Dst: c, Tokens: 1, Name: "dc"})
+	g.AddPlace(Place{Src: a, Dst: c, Tokens: 0, Name: "ac"})
+	g.AddPlace(Place{Src: c, Dst: b, Tokens: 0, Name: "cb"})
+	g.AddPlace(Place{Src: b, Dst: e, Tokens: 1, Name: "be"})
+	g.AddPlace(Place{Src: e, Dst: f, Tokens: 1, Name: "ef"})
+	g.AddPlace(Place{Src: f, Dst: e, Tokens: 0, Name: "fe"})
+	g.index()
+
+	bound := func(p Place, buf *distBuf) int {
+		if d := g.minTokenDist(p.Dst, p.Src, inf, buf); d < inf {
+			return p.Tokens + d
+		}
+		return inf
+	}
+	want := map[string]int{}
+	for _, p := range g.Places {
+		want[p.Name] = bound(p, newDistBuf(len(g.Trans), inf))
+	}
+	seen := map[int]bool{}
+	for _, v := range want {
+		seen[v] = true
+	}
+	if !seen[1] || !seen[2] || !seen[inf] {
+		t.Fatalf("fixture bounds %v must include 1, 2 and unbounded", want)
+	}
+	// Forward, reversed and repeated query orders over one shared buffer.
+	var order []Place
+	for i := range g.Places {
+		order = append(order, g.Places[i])
+	}
+	for i := len(g.Places) - 1; i >= 0; i-- {
+		order = append(order, g.Places[i], g.Places[i])
+	}
+	buf := newDistBuf(len(g.Trans), inf)
+	for _, p := range order {
+		if got := bound(p, buf); got != want[p.Name] {
+			t.Fatalf("place %s: bound %d with a reused buffer, %d with a fresh one", p.Name, got, want[p.Name])
+		}
+	}
+}

@@ -186,9 +186,11 @@ func (w *watchdog) checkQuiescence(until float64) {
 	if w.cfg.QuiescenceGap <= 0 || len(w.watched) == 0 || math.IsInf(until, 1) {
 		return
 	}
+	// Nets that stopped at the same instant tie: the lower net index wins,
+	// so the report does not depend on map iteration order.
 	stalest, at := -1, math.Inf(1)
 	for idx, t := range w.lastToggle {
-		if t < at {
+		if t < at || t == at && idx < stalest {
 			stalest, at = idx, t
 		}
 	}

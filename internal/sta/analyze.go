@@ -26,7 +26,7 @@ type Result struct {
 // Analyze propagates arrival times over the graph. Startpoints launch at
 // time zero.
 func (g *Graph) Analyze() *Result {
-	n := len(g.keys)
+	n := g.NodeCount()
 	r := &Result{
 		G:       g,
 		MaxRise: fill(n, math.Inf(-1)), MaxFall: fill(n, math.Inf(-1)),
@@ -42,7 +42,7 @@ func (g *Graph) Analyze() *Result {
 			math.IsInf(r.MinRise[v], 1) && math.IsInf(r.MinFall[v], 1) {
 			continue
 		}
-		for _, e := range g.out[v] {
+		for _, e := range g.out(int(v)) {
 			// Late propagation.
 			switch e.sense {
 			case positiveUnate:
@@ -62,18 +62,18 @@ func (g *Graph) Analyze() *Result {
 	return r
 }
 
-func (r *Result) relaxMax(from, to int, rise, fall float64) {
+func (r *Result) relaxMax(from, to int32, rise, fall float64) {
 	if rise > r.MaxRise[to] {
 		r.MaxRise[to] = rise
-		r.predRise[to] = int32(from)
+		r.predRise[to] = from
 	}
 	if fall > r.MaxFall[to] {
 		r.MaxFall[to] = fall
-		r.predFall[to] = int32(from)
+		r.predFall[to] = from
 	}
 }
 
-func (r *Result) relaxMin(to int, rise, fall float64) {
+func (r *Result) relaxMin(to int32, rise, fall float64) {
 	if rise < r.MinRise[to] {
 		r.MinRise[to] = rise
 	}
@@ -137,7 +137,7 @@ func (r *Result) CriticalPath() []PathStep {
 // trace walks predecessors from an endpoint back to a startpoint.
 func (r *Result) trace(id int, rising bool) []PathStep {
 	var rev []PathStep
-	for id >= 0 && len(rev) < len(r.G.keys)+1 {
+	for id >= 0 && len(rev) < r.G.NodeCount()+1 {
 		at := r.MaxRise[id]
 		pred := r.predRise[id]
 		if !rising {
@@ -234,13 +234,9 @@ func ClockPeriod(ctx context.Context, m *netlist.Module, corner netlist.Corner, 
 
 // RegionDelays computes, for each group id present in the module, the
 // combinational critical path into that group's sequential elements
-// (§3.2.5). The analysis runs register-bounded (latches opaque), so each
-// region's cloud is measured independently as the paper requires — which
-// also makes the per-region extraction embarrassingly parallel: after one
-// shared graph build and arrival propagation, each region scans only its
-// own registers (opts.Parallelism workers; identical results at any
-// count, since regions never share a summary and each keeps its module
-// instance order).
+// (§3.2.5): Build, Analyze, then (*Result).RegionDelays. The analysis runs
+// register-bounded (latches opaque), so each region's cloud is measured
+// independently as the paper requires.
 func RegionDelays(ctx context.Context, m *netlist.Module, corner netlist.Corner, opts Options) (map[int]*RegionDelay, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -251,7 +247,26 @@ func RegionDelays(ctx context.Context, m *netlist.Module, corner netlist.Corner,
 	if err != nil {
 		return nil, err
 	}
-	r := g.Analyze()
+	return g.Analyze().RegionDelays(ctx, opts.Parallelism)
+}
+
+// RegionDelays computes every region's launch-to-capture summary over an
+// analysis the caller already holds, so a caller that times the module
+// anyway builds one graph per netlist state. The graph must be
+// register-bounded (built without LatchTransparent). After the shared
+// arrival propagation each region scans only its own registers, which
+// makes the extraction embarrassingly parallel: parallelism workers (0:
+// GOMAXPROCS), identical results at any count, since regions never share a
+// summary and each keeps its module instance order.
+func (r *Result) RegionDelays(ctx context.Context, parallelism int) (map[int]*RegionDelay, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	g := r.G
+	if g.latchTransparent {
+		return nil, fmt.Errorf("sta: region delays need a register-bounded graph, not one built with LatchTransparent")
+	}
+	m, corner := g.Module, g.Corner
 
 	// Worst clock-to-Q over all sequential cells: the launch cost. Kept
 	// global (any region may feed any other).
@@ -284,7 +299,7 @@ func RegionDelays(ctx context.Context, m *netlist.Module, corner netlist.Corner,
 		byGroup[in.Group] = append(byGroup[in.Group], in)
 	}
 
-	rds, err := par.Map(ctx, opts.Parallelism, groups, func(ctx context.Context, _ int, grp int) (*RegionDelay, error) {
+	rds, err := par.Map(ctx, parallelism, groups, func(ctx context.Context, _ int, grp int) (*RegionDelay, error) {
 		rd := &RegionDelay{Group: grp, CombMin: math.Inf(1), ClkToQ: worstC2Q}
 		for _, in := range byGroup[grp] {
 			c := in.Cell
