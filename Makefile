@@ -55,7 +55,7 @@ check: vet lint equiv sweep serve scale
 	$(GO) test -race ./internal/par/ ./internal/faults/ ./internal/sweep/ ./internal/ctrlnet/ ./internal/equiv/
 	$(GO) test -race -run 'Parallel|Cancellation' ./internal/sta/ ./internal/core/
 	$(GO) test -race ./...
-	$(GO) test -run XXX -bench 'BenchmarkFaultCampaignSmoke|BenchmarkCampaignParallelDLX|BenchmarkSweepSmokeDLX|BenchmarkLintClean|BenchmarkMGAStaticDLX' -benchtime 1x .
+	$(GO) test -run XXX -bench 'BenchmarkFaultCampaignSmoke|BenchmarkCampaignParallelDLX|BenchmarkSweepSmokeDLX|BenchmarkLintClean|BenchmarkCheckMidFlow|BenchmarkMGAStaticDLX' -benchtime 1x . ./internal/lint/
 	$(GO) test -run XXX -bench 'BenchmarkEquivDLX$$|BenchmarkEquivParallelDLX' -benchtime 1x ./internal/equiv/
 	$(GO) test -run XXX -bench 'BenchmarkServeCachedSubmit' -benchtime 1x ./internal/flowserv/
 	$(GO) test -run XXX -bench 'BenchmarkNetlistDerive100k' -benchtime 1x ./internal/expt/

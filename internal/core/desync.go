@@ -45,34 +45,41 @@ func (r *Result) DisabledArcMap() map[sta.ArcKey]bool {
 // SimpleName rewrites one escaped/hierarchical identifier into a plain one
 // (§3.2.1 "escaped names are substituted by simple ones"), preserving the
 // bus-bit [n] suffix so the bus heuristic keeps working. Identifiers that
-// are already plain come back unchanged. The lint engine uses the same
-// mapping to warn about names that would collide after simplification.
+// are already plain come back unchanged, without allocating. The lint
+// engine uses the same mapping to warn about names that would collide
+// after simplification.
 func SimpleName(s string) string {
 	base, idx, isBus := netlist.BusBase(s)
 	body := s
 	if isBus {
 		body = base
 	}
-	out := make([]byte, 0, len(body))
-	changed := false
-	for i := 0; i < len(body); i++ {
-		c := body[i]
-		ok := c == '_' || c == '$' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-			(i > 0 && c >= '0' && c <= '9')
-		if ok {
-			out = append(out, c)
-		} else {
-			out = append(out, '_')
-			changed = true
-		}
+	first := 0
+	for first < len(body) && plainChar(body, first) {
+		first++
 	}
-	if !changed {
+	if first == len(body) {
 		return s
+	}
+	out := []byte(body)
+	for i := first; i < len(out); i++ {
+		if !plainChar(body, i) {
+			out[i] = '_'
+		}
 	}
 	if isBus {
 		return fmt.Sprintf("%s[%d]", out, idx)
 	}
 	return string(out)
+}
+
+// plainChar reports whether the identifier byte at i may stay as it is in
+// a simple name: a letter, '_' or '$' anywhere, a digit after the first
+// byte.
+func plainChar(s string, i int) bool {
+	c := s[i]
+	return c == '_' || c == '$' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
+		(i > 0 && c >= '0' && c <= '9')
 }
 
 // SimplifyNames applies SimpleName to every net of the module, skipping

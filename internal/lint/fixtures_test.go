@@ -39,6 +39,7 @@ func fixtures() []fixture {
 		{rule: lint.RuleLoop, file: "nl_loop.v"},
 		{rule: lint.RuleCone, file: "nl_cone.v"},
 		{rule: lint.RuleName, file: "nl_name.v"},
+		{rule: lint.RuleName, file: "nl_name_groups.v"},
 		{rule: lint.RuleFF, file: "ds_ff.v", sdc: "tiny.sdc", gen: genMutant(mutFF)},
 		{rule: lint.RuleEnable, file: "ds_enable.v", sdc: "tiny.sdc", gen: genMutant(mutEnable)},
 		{rule: lint.RulePhase, file: "ds_phase.v", sdc: "tiny.sdc", gen: genMutant(mutPhase)},
@@ -284,37 +285,71 @@ func TestFixtures(t *testing.T) {
 // TestCorruptModuleFindings covers the two rules a Verilog fixture cannot
 // express — the reader refuses double drivers at link time — by corrupting
 // the in-memory bookkeeping the way a buggy flow stage would: a second
-// output connection written straight into the Conns map fires both the
-// wrapped validator (NL-VALIDATE) and the true-driver count (NL-MULTI).
+// output connection written straight into the connection list fires both
+// the wrapped validator (NL-VALIDATE) and the true-driver count (NL-MULTI).
+// The cases vary who drives the clashing net: two gates, an input port and
+// a gate, three gates.
 func TestCorruptModuleFindings(t *testing.T) {
 	lib := stdcells.New(stdcells.HighSpeed)
-	m := netlist.NewModule("corrupt")
-	a := m.AddPort("a", netlist.In).Net
-	z := m.AddPort("z", netlist.Out).Net
-	u1 := m.AddInst("u1", lib.MustCell("INVX1"))
-	m.MustConnect(u1, "A", a)
-	m.MustConnect(u1, "Z", z)
-	u2 := m.AddInst("u2", lib.MustCell("INVX1"))
-	m.MustConnect(u2, "A", a)
-	u2.SetConnUnchecked("Z", z) // bypass Connect: the clash the bookkeeping cannot hold
-
-	rep := lint.Check(m, lint.Options{})
-	for _, rule := range []string{lint.RuleValidate, lint.RuleMulti} {
-		if len(rep.ByRule(rule)) == 0 {
-			t.Errorf("rule %s did not fire:\n%s", rule, rep.Text())
+	// inv adds an inverter reading in; its output goes to out through
+	// Connect, or straight into the connection list when unchecked.
+	inv := func(m *netlist.Module, name string, in, out *netlist.Net, unchecked bool) {
+		u := m.AddInst(name, lib.MustCell("INVX1"))
+		m.MustConnect(u, "A", in)
+		if unchecked {
+			u.SetConnUnchecked("Z", out) // bypass Connect: the clash the bookkeeping cannot hold
+		} else {
+			m.MustConnect(u, "Z", out)
 		}
 	}
-	goldenPath := filepath.Join("testdata", "nl_corrupt.golden")
-	got := rep.Text()
-	if *update {
-		writeFile(t, goldenPath, got)
-		return
+	cases := []struct {
+		golden string
+		build  func(m *netlist.Module)
+	}{
+		{"nl_corrupt.golden", func(m *netlist.Module) {
+			a := m.AddPort("a", netlist.In).Net
+			z := m.AddPort("z", netlist.Out).Net
+			inv(m, "u1", a, z, false)
+			inv(m, "u2", a, z, true)
+		}},
+		{"nl_corrupt_port.golden", func(m *netlist.Module) {
+			a := m.AddPort("a", netlist.In).Net
+			b := m.AddPort("b", netlist.In).Net
+			z := m.AddPort("z", netlist.Out).Net
+			inv(m, "u1", a, z, false)
+			inv(m, "u2", b, a, true)
+		}},
+		{"nl_corrupt_three.golden", func(m *netlist.Module) {
+			a := m.AddPort("a", netlist.In).Net
+			z := m.AddPort("z", netlist.Out).Net
+			inv(m, "u1", a, z, false)
+			inv(m, "u2", a, z, true)
+			inv(m, "u3", a, z, true)
+		}},
 	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("report drifted from %s:\n got:\n%s\nwant:\n%s", goldenPath, got, want)
+	for _, tc := range cases {
+		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
+			m := netlist.NewModule("corrupt")
+			tc.build(m)
+			rep := lint.Check(m, lint.Options{})
+			for _, rule := range []string{lint.RuleValidate, lint.RuleMulti} {
+				if len(rep.ByRule(rule)) == 0 {
+					t.Errorf("rule %s did not fire:\n%s", rule, rep.Text())
+				}
+			}
+			goldenPath := filepath.Join("testdata", tc.golden)
+			got := rep.Text()
+			if *update {
+				writeFile(t, goldenPath, got)
+				return
+			}
+			want, err := os.ReadFile(goldenPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("report drifted from %s:\n got:\n%s\nwant:\n%s", goldenPath, got, want)
+			}
+		})
 	}
 }

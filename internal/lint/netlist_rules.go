@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,21 +37,6 @@ func combDatapath(in *netlist.Inst) bool {
 	return in.Cell != nil && in.Cell.Kind == netlist.KindComb && !isControlInst(in)
 }
 
-// pinDirOf resolves a connection's direction for cell and submodule
-// instances alike; ok is false for pins the instance does not declare.
-func pinDirOf(in *netlist.Inst, pin string) (netlist.PinDir, bool) {
-	if in.Cell != nil {
-		if pd := in.Cell.Pin(pin); pd != nil {
-			return pd.Dir, true
-		}
-		return netlist.In, false
-	}
-	if p := in.Sub.Port(pin); p != nil {
-		return p.Dir, true
-	}
-	return netlist.In, false
-}
-
 // checkNetlist runs the NL-* family over one module.
 func (r *Report) checkNetlist(m *netlist.Module, opts Options) {
 	// NL-VALIDATE — structural invariants. Undriven nets are left to
@@ -63,10 +49,72 @@ func (r *Report) checkNetlist(m *netlist.Module, opts Options) {
 	if !opts.MidFlow {
 		r.checkFloat(m)
 	}
-	r.checkMultiDriven(m)
-	r.checkCombLoops(m)
-	r.checkDeadCones(m)
+	v := newView(m)
+	r.checkMultiDriven(v)
+	r.checkCombLoops(v)
+	r.checkDeadCones(v)
 	r.checkNameClash(m)
+}
+
+// view is one checkNetlist pass's dense picture of a module: the rules
+// keep their side tables in slices indexed by NetID and InstID instead of
+// maps keyed by pointer, and every instance is classified once instead of
+// once per rule that asks. A net or instance the module does not own (a
+// connection written with SetConnUnchecked can reach one) has no slot;
+// the rules that can meet one keep it in a small fallback map.
+type view struct {
+	m     *netlist.Module
+	nets  int    // NetID slots: one past the largest NetID in m.Nets
+	insts int    // InstID slots: one past the largest InstID in m.Insts
+	comb  []bool // by InstID: a plain combinational datapath gate
+}
+
+func newView(m *netlist.Module) *view {
+	v := &view{m: m}
+	for _, n := range m.Nets {
+		v.nets = max(v.nets, int(n.ID())+1)
+	}
+	for _, in := range m.Insts {
+		v.insts = max(v.insts, int(in.ID())+1)
+	}
+	v.comb = make([]bool, v.insts)
+	for _, in := range m.Insts {
+		if id, ok := v.inst(in); ok {
+			v.comb[id] = combDatapath(in)
+		}
+	}
+	return v
+}
+
+// net returns n's slot, or false when the module does not own n.
+func (v *view) net(n *netlist.Net) (int, bool) {
+	id := int(n.ID())
+	return id, id < v.nets && v.m.NetByID(n.ID()) == n
+}
+
+// inst returns in's slot, or false when the module does not own in.
+func (v *view) inst(in *netlist.Inst) (int, bool) {
+	id := int(in.ID())
+	return id, id < v.insts && v.m.InstByID(in.ID()) == in
+}
+
+// isComb is combDatapath through the view's classification.
+func (v *view) isComb(in *netlist.Inst) bool {
+	if id, ok := v.inst(in); ok {
+		return v.comb[id]
+	}
+	return combDatapath(in)
+}
+
+// pinIs reports whether the instance's cell or submodule declares pin
+// with direction dir.
+func pinIs(in *netlist.Inst, pin string, dir netlist.PinDir) bool {
+	if in.Cell != nil {
+		pd := in.Cell.Pin(pin)
+		return pd != nil && pd.Dir == dir
+	}
+	p := in.Sub.Port(pin)
+	return p != nil && p.Dir == dir
 }
 
 // checkPins flags unconnected instance pins: inputs as errors (the gate
@@ -106,27 +154,58 @@ func (r *Report) checkFloat(m *netlist.Module) {
 }
 
 // checkMultiDriven counts a net's true drivers — output pins plus input
-// ports — from the connection maps (not the per-net bookkeeping, which by
+// ports — from the connection lists (not the per-net bookkeeping, which by
 // construction can only remember one driver and so cannot show the clash).
-func (r *Report) checkMultiDriven(m *netlist.Module) {
-	drivers := map[*netlist.Net][]string{}
+// The count pass builds no strings; a second pass names the drivers of the
+// nets it flagged.
+func (r *Report) checkMultiDriven(v *view) {
+	m := v.m
+	count := make([]uint8, v.nets) // saturates at 2: "more than one"
+	foreign := map[*netlist.Net]int{}
+	multi := false
+	add := func(n *netlist.Net) {
+		if id, ok := v.net(n); !ok {
+			foreign[n]++
+			multi = multi || foreign[n] == 2
+		} else if count[id] < 2 {
+			count[id]++
+			multi = multi || count[id] == 2
+		}
+	}
 	for _, in := range m.Insts {
 		for _, pc := range in.Conns() {
-			pin, n := pc.Pin, pc.Net
-			if n == nil {
-				continue
-			}
-			if dir, ok := pinDirOf(in, pin); ok && dir == netlist.Out {
-				drivers[n] = append(drivers[n], in.Name+"/"+pin)
+			if pc.Net != nil && pinIs(in, pc.Pin, netlist.Out) {
+				add(pc.Net)
 			}
 		}
 	}
 	for _, p := range m.Ports {
 		if p.Dir == netlist.In && p.Net != nil {
-			drivers[p.Net] = append(drivers[p.Net], "port "+p.Name)
+			add(p.Net)
 		}
 	}
-	for _, n := range m.SortedNets() {
+	if !multi {
+		return
+	}
+	drivers := map[*netlist.Net][]string{}
+	for _, n := range m.Nets {
+		if id, ok := v.net(n); ok && count[id] > 1 || !ok && foreign[n] > 1 {
+			drivers[n] = nil
+		}
+	}
+	for _, in := range m.Insts {
+		for _, pc := range in.Conns() {
+			if ds, ok := drivers[pc.Net]; ok && pinIs(in, pc.Pin, netlist.Out) {
+				drivers[pc.Net] = append(ds, in.Name+"/"+pc.Pin)
+			}
+		}
+	}
+	for _, p := range m.Ports {
+		if ds, ok := drivers[p.Net]; ok && p.Dir == netlist.In {
+			drivers[p.Net] = append(ds, "port "+p.Name)
+		}
+	}
+	for _, n := range m.Nets {
 		if ds := drivers[n]; len(ds) > 1 {
 			sort.Strings(ds)
 			r.addf(RuleMulti, Error, m.Name, "", n.Name,
@@ -139,99 +218,114 @@ func (r *Report) checkMultiDriven(m *netlist.Module) {
 // synchronous netlist must be acyclic between registers; a loop means lost
 // logic (or an async element mis-imported as gates). Control cells are
 // excluded — their loops are the handshake cycles DS-SDC audits.
-func (r *Report) checkCombLoops(m *netlist.Module) {
-	// Adjacency over comb datapath instances.
-	idx := map[*netlist.Inst]int{}
+func (r *Report) checkCombLoops(v *view) {
+	// Nodes are the comb datapath gates in module order; node maps an
+	// InstID to its node, or -1.
+	node := make([]int32, v.insts)
+	for i := range node {
+		node[i] = -1
+	}
 	var nodes []*netlist.Inst
-	for _, in := range m.Insts {
-		if combDatapath(in) {
-			idx[in] = len(nodes)
+	for _, in := range v.m.Insts {
+		if id, ok := v.inst(in); ok && v.comb[id] {
+			node[id] = int32(len(nodes))
 			nodes = append(nodes, in)
 		}
 	}
-	succ := make([][]int, len(nodes))
-	indeg := make([]int, len(nodes))
-	for _, in := range nodes {
-		u := idx[in]
+	// Successor rows, compressed: node u's successors are
+	// succ[start[u]:start[u+1]].
+	start := make([]int32, len(nodes)+1)
+	var succ []int32
+	indeg := make([]int32, len(nodes))
+	for u, in := range nodes {
+		start[u] = int32(len(succ))
 		for _, pc := range in.Conns() {
-			pin, n := pc.Pin, pc.Net
-			if dir, ok := pinDirOf(in, pin); !ok || dir != netlist.Out || n == nil {
+			if pc.Net == nil || !pinIs(in, pc.Pin, netlist.Out) {
 				continue
 			}
-			for _, s := range n.Sinks {
+			for _, s := range pc.Net.Sinks {
 				if s.Inst == nil {
 					continue
 				}
-				if v, ok := idx[s.Inst]; ok {
-					succ[u] = append(succ[u], v)
-					indeg[v]++
+				if id, ok := v.inst(s.Inst); ok && node[id] >= 0 {
+					succ = append(succ, node[id])
+					indeg[node[id]]++
 				}
 			}
 		}
 	}
+	start[len(nodes)] = int32(len(succ))
+	out := func(u int32) []int32 { return succ[start[u]:start[u+1]] }
+
 	// Trim everything not on a cycle: peel zero-in-degree nodes forward,
 	// then zero-out-degree nodes backward, so pure fan-in and fan-out of a
 	// loop drop away and only the cycle members remain.
-	queue := []int{}
-	for v, d := range indeg {
+	removed := make([]bool, len(nodes))
+	var stack []int32
+	for u, d := range indeg {
 		if d == 0 {
-			queue = append(queue, v)
+			stack = append(stack, int32(u))
 		}
 	}
-	removed := make([]bool, len(nodes))
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	left := len(nodes)
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		removed[u] = true
-		for _, v := range succ[u] {
-			if indeg[v]--; indeg[v] == 0 && !removed[v] {
-				queue = append(queue, v)
+		left--
+		for _, w := range out(u) {
+			if indeg[w]--; indeg[w] == 0 && !removed[w] {
+				stack = append(stack, w)
 			}
 		}
 	}
-	pred := make([][]int, len(nodes))
-	outdeg := make([]int, len(nodes))
-	for u, vs := range succ {
+	if left == 0 {
+		return
+	}
+	pred := make([][]int32, len(nodes))
+	outdeg := make([]int32, len(nodes))
+	for u := range nodes {
 		if removed[u] {
 			continue
 		}
-		for _, v := range vs {
-			if !removed[v] {
-				pred[v] = append(pred[v], u)
+		for _, w := range out(int32(u)) {
+			if !removed[w] {
+				pred[w] = append(pred[w], int32(u))
 				outdeg[u]++
 			}
 		}
 	}
-	for v := range nodes {
-		if !removed[v] && outdeg[v] == 0 {
-			queue = append(queue, v)
+	for u := range nodes {
+		if !removed[u] && outdeg[u] == 0 {
+			stack = append(stack, int32(u))
 		}
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		removed[u] = true
-		for _, v := range pred[u] {
-			if outdeg[v]--; outdeg[v] == 0 && !removed[v] {
-				queue = append(queue, v)
+		for _, w := range pred[u] {
+			if outdeg[w]--; outdeg[w] == 0 && !removed[w] {
+				stack = append(stack, w)
 			}
 		}
 	}
-	// Group survivors into weakly-connected clusters for one finding per
-	// loop nest, naming a bounded sample of members.
+	// Group survivors into clusters, each the survivors reachable from the
+	// first unclaimed one in module order, for one finding per loop nest
+	// naming a bounded sample of members.
 	seen := make([]bool, len(nodes))
-	for v := range nodes {
-		if removed[v] || seen[v] {
+	for u := range nodes {
+		if removed[u] || seen[u] {
 			continue
 		}
 		var member []string
-		stack := []int{v}
-		seen[v] = true
+		stack = append(stack[:0], int32(u))
+		seen[u] = true
 		for len(stack) > 0 {
-			u := stack[len(stack)-1]
+			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			member = append(member, nodes[u].Name)
-			for _, w := range succ[u] {
+			member = append(member, nodes[x].Name)
+			for _, w := range out(x) {
 				if !removed[w] && !seen[w] {
 					seen[w] = true
 					stack = append(stack, w)
@@ -243,7 +337,7 @@ func (r *Report) checkCombLoops(m *netlist.Module) {
 		if len(sample) > 6 {
 			sample = sample[:6]
 		}
-		r.addf(RuleLoop, Error, m.Name, member[0], "",
+		r.addf(RuleLoop, Error, v.m.Name, member[0], "",
 			fmt.Sprintf("combinational loop through %d gate(s): %s", len(member), strings.Join(sample, ", ")))
 	}
 }
@@ -252,13 +346,37 @@ func (r *Report) checkCombLoops(m *netlist.Module) {
 // observable point: an output port, a sequential or submodule input, or the
 // control network. Dead cones are harmless in silicon but always mean
 // either imported garbage or a flow stage that disconnected logic.
-func (r *Report) checkDeadCones(m *netlist.Module) {
-	observed := map[*netlist.Net]bool{}
+func (r *Report) checkDeadCones(v *view) {
+	m := v.m
+	observed := make([]bool, v.nets)
+	live := make([]bool, v.insts)
+	// Nets and driving gates the module does not own, reached through a
+	// corrupt connection: still observed and walked, never reported.
+	foreignNets := map[*netlist.Net]bool{}
+	foreignLive := map[*netlist.Inst]bool{}
 	var frontier []*netlist.Net
 	observe := func(n *netlist.Net) {
-		if n != nil && !observed[n] {
-			observed[n] = true
-			frontier = append(frontier, n)
+		if n == nil {
+			return
+		}
+		if id, ok := v.net(n); ok {
+			if observed[id] {
+				return
+			}
+			observed[id] = true
+		} else {
+			if foreignNets[n] {
+				return
+			}
+			foreignNets[n] = true
+		}
+		frontier = append(frontier, n)
+	}
+	observeInputs := func(in *netlist.Inst) {
+		for _, pc := range in.Conns() {
+			if pinIs(in, pc.Pin, netlist.In) {
+				observe(pc.Net)
+			}
 		}
 	}
 	for _, p := range m.Ports {
@@ -267,34 +385,33 @@ func (r *Report) checkDeadCones(m *netlist.Module) {
 		}
 	}
 	for _, in := range m.Insts {
-		if combDatapath(in) {
-			continue
-		}
-		for _, pc := range in.Conns() {
-			pin, n := pc.Pin, pc.Net
-			if dir, ok := pinDirOf(in, pin); ok && dir == netlist.In {
-				observe(n)
-			}
+		if !v.isComb(in) {
+			observeInputs(in)
 		}
 	}
-	live := map[*netlist.Inst]bool{}
 	for len(frontier) > 0 {
 		n := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
 		drv := n.Driver.Inst
-		if drv == nil || !combDatapath(drv) || live[drv] {
+		if drv == nil {
 			continue
 		}
-		live[drv] = true
-		for _, pc := range drv.Conns() {
-			pin, in := pc.Pin, pc.Net
-			if dir, ok := pinDirOf(drv, pin); ok && dir == netlist.In {
-				observe(in)
+		if id, ok := v.inst(drv); ok {
+			if !v.comb[id] || live[id] {
+				continue
 			}
+			live[id] = true
+		} else {
+			if !combDatapath(drv) || foreignLive[drv] {
+				continue
+			}
+			foreignLive[drv] = true
 		}
+		observeInputs(drv)
 	}
 	for _, in := range m.Insts {
-		if combDatapath(in) && !live[in] {
+		id, ok := v.inst(in)
+		if ok && v.comb[id] && !live[id] || !ok && combDatapath(in) && !foreignLive[in] {
 			r.addf(RuleCone, Warning, m.Name, in.Name, "",
 				"gate drives no port, register, or control input (dead logic cone)")
 		}
@@ -304,19 +421,61 @@ func (r *Report) checkDeadCones(m *netlist.Module) {
 // checkNameClash warns about distinct identifiers that map to the same
 // plain name under the escaped-name simplification of §3.2.1: backend tools
 // that mangle hierarchy separators the same way would merge or rename them.
+//
+// A clash needs two distinct names with one simple form, and at most one
+// name can be its own simple form: the simple form itself. So only the
+// names SimpleName changes are collected; each group then gains its plain
+// member, if the module has one, by a name lookup.
 func (r *Report) checkNameClash(m *netlist.Module) {
-	report := func(kind string, names map[string][]string) {
-		var keys []string
-		for k, group := range names {
-			if len(group) > 1 {
-				keys = append(keys, k)
-			}
+	var nets, insts []renamed
+	for _, n := range m.Nets {
+		nets = appendRenamed(nets, n.Name)
+	}
+	r.reportClashes(m.Name, "net", nets, func(k string) bool {
+		n := m.Net(k)
+		return n != nil && n.Name == k
+	})
+	for _, in := range m.Insts {
+		insts = appendRenamed(insts, in.Name)
+	}
+	r.reportClashes(m.Name, "instance", insts, func(k string) bool {
+		in := m.Inst(k)
+		return in != nil && in.Name == k
+	})
+}
+
+// renamed is one identifier SimpleName changes, with its simple form.
+type renamed struct{ simple, name string }
+
+func appendRenamed(rs []renamed, name string) []renamed {
+	if s := core.SimpleName(name); s != name {
+		rs = append(rs, renamed{s, name})
+	}
+	return rs
+}
+
+// reportClashes groups the renamed identifiers of one kind by simple form
+// and reports every group of two or more names, counting the plain name k
+// itself when exists(k) and k is its own simple form.
+func (r *Report) reportClashes(module, kind string, rs []renamed, exists func(k string) bool) {
+	slices.SortFunc(rs, func(a, b renamed) int { return strings.Compare(a.simple, b.simple) })
+	for i := 0; i < len(rs); {
+		k := rs[i].simple
+		j := i + 1
+		for j < len(rs) && rs[j].simple == k {
+			j++
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			group := names[k]
+		plain := exists(k) && core.SimpleName(k) == k
+		if j-i > 1 || plain {
+			group := make([]string, 0, j-i+1)
+			for _, x := range rs[i:j] {
+				group = append(group, x.name)
+			}
+			if plain {
+				group = append(group, k)
+			}
 			sort.Strings(group)
-			f := Finding{Rule: RuleName, Severity: Warning, Module: m.Name,
+			f := Finding{Rule: RuleName, Severity: Warning, Module: module,
 				Msg: fmt.Sprintf("%d %ss simplify to %q: %s", len(group), kind, k, strings.Join(group, ", "))}
 			if kind == "net" {
 				f.Net = group[0]
@@ -325,15 +484,6 @@ func (r *Report) checkNameClash(m *netlist.Module) {
 			}
 			r.add(f)
 		}
+		i = j
 	}
-	nets := map[string][]string{}
-	for _, n := range m.Nets {
-		nets[core.SimpleName(n.Name)] = append(nets[core.SimpleName(n.Name)], n.Name)
-	}
-	report("net", nets)
-	insts := map[string][]string{}
-	for _, in := range m.Insts {
-		insts[core.SimpleName(in.Name)] = append(insts[core.SimpleName(in.Name)], in.Name)
-	}
-	report("instance", insts)
 }

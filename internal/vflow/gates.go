@@ -35,12 +35,14 @@ func (r *runner) gates(ctx context.Context) error {
 	if len(res.UnderMargin) > 0 {
 		// The margin retries ran out and the run ships under margin. The
 		// DS-MARGIN findings restate that advisory: demote them to
-		// warnings so the acknowledged degradation still passes.
+		// warnings so the acknowledged degradation still passes, and sort
+		// again so an error left in the report still leads it.
 		for i := range r.Lint.Findings {
 			if r.Lint.Findings[i].Rule == lint.RuleMargin {
 				r.Lint.Findings[i].Severity = lint.Warning
 			}
 		}
+		r.Lint.Sort()
 		v = Verdict{Step: GateLint, Status: Downgraded, Reason: fmt.Sprintf(
 			"delay elements still under-cover regions %v after %d retries", res.UnderMargin, maxMarginRetries)}
 	}

@@ -152,6 +152,37 @@ func TestMarginAutoBump(t *testing.T) {
 	assertCleanCtrlnet(t, out.Result)
 }
 
+// TestDemotedMarginDoesNotLeadFailure: after the margin retries run out the
+// post-export gate demotes DS-MARGIN to warnings. An error in the same
+// report must still fail the gate, and the failure must name that error,
+// not a demoted warning that sorted ahead of it as an error.
+func TestDemotedMarginDoesNotLeadFailure(t *testing.T) {
+	r := &runner{opts: Options{Flow: core.Options{Period: 4.65, Margin: 0.05}, OnVerdict: func(Verdict) {}}, Outcome: &Outcome{}}
+	if err := r.convert(context.Background(), fromSpec("dlx")); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Result.UnderMargin) == 0 {
+		t.Fatal("three 15% bumps from 0.05 cannot reach 1.0; the advisory must stand")
+	}
+	cons := r.Result.Constraints
+	dropped := cons.Disabled[0]
+	cons.Disabled = cons.Disabled[1:]
+	err := r.gates(context.Background())
+	if err == nil {
+		t.Fatalf("post-export gate passed without the loop-breaking constraint on %s", dropped.Inst)
+	}
+	want := "lint gate: 1 error finding(s), first: error " + lint.RuleSDC
+	if !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %v, want it to start %q", err, want)
+	}
+	if f := r.Lint.Findings[0]; f.Severity != lint.Error || f.Rule != lint.RuleSDC {
+		t.Fatalf("report leads with %s, want the %s error", f, lint.RuleSDC)
+	}
+	if len(r.Lint.ByRule(lint.RuleMargin)) == 0 {
+		t.Fatal("no demoted DS-MARGIN warning left to sort behind the error")
+	}
+}
+
 // TestEquivDowngradedPastEstimate: when the state estimate exceeds the
 // marking budget the exhaustive gate is downgraded, not run.
 func TestEquivDowngradedPastEstimate(t *testing.T) {
