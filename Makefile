@@ -1,7 +1,8 @@
 # Build and verification entry points. `make check` is the CI gate:
 # vet, the static lint gate, the formal equivalence gate over both case
-# studies, the full test suite under the race detector, and the smoke
-# guards (any escaped fault or state-count drift fails the build).
+# studies, the full test suite under the race detector, vet and tests of
+# the benchmark module, and the smoke guards (any escaped fault or
+# state-count drift fails the build).
 
 GO ?= go
 
@@ -55,6 +56,10 @@ check: vet lint equiv sweep serve scale
 	$(GO) test -race ./internal/par/ ./internal/faults/ ./internal/sweep/ ./internal/ctrlnet/ ./internal/equiv/
 	$(GO) test -race -run 'Parallel|Cancellation' ./internal/sta/ ./internal/core/
 	$(GO) test -race ./...
+	# perfbench is its own Go module, so the root vet and test never
+	# compile it: check it here, or a change to an API it imports
+	# surfaces only at the next benchmark run.
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run XXX -bench 'BenchmarkFaultCampaignSmoke|BenchmarkCampaignParallelDLX|BenchmarkSweepSmokeDLX|BenchmarkLintClean|BenchmarkCheckMidFlow|BenchmarkMGAStaticDLX' -benchtime 1x . ./internal/lint/
 	$(GO) test -run XXX -bench 'BenchmarkEquivDLX$$|BenchmarkEquivParallelDLX' -benchtime 1x ./internal/equiv/
 	$(GO) test -run XXX -bench 'BenchmarkServeCachedSubmit' -benchtime 1x ./internal/flowserv/

@@ -202,15 +202,6 @@ func (c *Campaign) newScenarioSim(maxEvents int64, xAfter float64, factors map[s
 	return s, nil
 }
 
-// RunFault injects one fault at the campaign's nominal operating point,
-// simulates to the campaign horizon and classifies the outcome against the
-// golden run. The design is never mutated: delay faults ride a per-sim
-// delay-factor snapshot and forces live only inside the simulator, so
-// concurrent RunFault calls are safe.
-func (c *Campaign) RunFault(ctx context.Context, f Fault) (Outcome, error) {
-	return c.RunScenario(ctx, Scenario{Fault: f})
-}
-
 // classify fills Detected/By/Detail, strongest evidence first: a corrupted
 // capture sequence beats a stall, a stall beats a watchdog report, and a
 // simulator abort (event budget — oscillation) catches the rest.

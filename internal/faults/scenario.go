@@ -54,11 +54,13 @@ type Scenario struct {
 	Interrupt func() error
 }
 
-// RunScenario injects the scenario's fault at its operating point and
-// classifies the outcome against the campaign's golden run. Like RunFault
-// it never mutates the module, so concurrent scenarios are safe; unlike
-// RunFault it also measures the run's effective handshake period
-// (normalized back to the nominal corner) for streaming aggregation.
+// RunScenario injects the scenario's fault at its operating point (the
+// nominal one for a zero Scale and no DelayFactors), simulates to the
+// campaign horizon and classifies the outcome against the golden run. It
+// also measures the run's effective handshake period, normalized back to
+// the nominal corner, for streaming aggregation. The design is never
+// mutated: delay faults ride a per-sim delay-factor snapshot and forces
+// live only inside the simulator, so concurrent scenarios are safe.
 func (c *Campaign) RunScenario(ctx context.Context, sc Scenario) (Outcome, error) {
 	out := Outcome{Fault: sc.Fault}
 	if err := ctx.Err(); err != nil {

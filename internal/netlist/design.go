@@ -181,7 +181,6 @@ func (m *Module) AddNet(name string) *Net {
 	m.netsByID = append(m.netsByID, n)
 	m.Nets = append(m.Nets, n)
 	m.netByName[name] = n.id
-	m.touchNet(n.id)
 	return n
 }
 
@@ -207,7 +206,6 @@ func (m *Module) EnsureNet(name string) *Net {
 func (m *Module) AddPort(name string, dir PinDir) *Port {
 	n := m.EnsureNet(name)
 	m.modseq++
-	m.touchNet(n.id)
 	p := &Port{Name: name, Dir: dir, Net: n}
 	m.Ports = append(m.Ports, p)
 	switch dir {
@@ -223,15 +221,14 @@ func (m *Module) AddPort(name string, dir PinDir) *Port {
 // differ from the port's (used by the Verilog reader when assign aliases
 // merge a port with another net).
 func (m *Module) AddPortOnNet(name string, dir PinDir, n *Net) (*Port, error) {
+	if dir == In && n.HasDriver() {
+		return nil, fmt.Errorf("netlist: input port %s on already-driven net %s", name, n.Name)
+	}
 	m.modseq++
-	m.touchNet(n.id)
 	p := &Port{Name: name, Dir: dir, Net: n}
 	m.Ports = append(m.Ports, p)
 	switch dir {
 	case In:
-		if n.HasDriver() {
-			return nil, fmt.Errorf("netlist: input port %s on already-driven net %s", name, n.Name)
-		}
 		n.Driver = PinRef{Pin: name}
 	case Out:
 		n.Sinks = append(n.Sinks, PinRef{Pin: name})
@@ -275,7 +272,6 @@ func (m *Module) addInst(name string, cell *CellDef, sub *Module, pins int) *Ins
 	m.instsByID = append(m.instsByID, in)
 	m.Insts = append(m.Insts, in)
 	m.instByName[name] = in.id
-	m.touchInst(in.id)
 	return in
 }
 
@@ -301,8 +297,6 @@ func (m *Module) Connect(in *Inst, pin string, net *Net) error {
 		return fmt.Errorf("netlist: %s/%s already connected to %s", in.Name, pin, old.Name)
 	}
 	m.modseq++
-	m.touchInst(in.id)
-	m.touchNet(net.id)
 	in.conns = append(in.conns, PinConn{Pin: cpin, Net: net, Dir: dir})
 	ref := PinRef{Inst: in, Pin: cpin}
 	if dir == Out {
@@ -337,8 +331,6 @@ func (m *Module) Disconnect(in *Inst, pin string) {
 		return
 	}
 	m.modseq++
-	m.touchInst(in.id)
-	m.touchNet(net.id)
 	in.conns = append(in.conns[:ci], in.conns[ci+1:]...)
 	ref := PinRef{Inst: in, Pin: pin}
 	if net.Driver == ref {
@@ -374,13 +366,11 @@ func (m *Module) DisconnectSinks(net *Net, drop func(PinRef) bool) {
 				break
 			}
 		}
-		m.touchInst(in.id)
 	}
 	if w == len(net.Sinks) {
 		return
 	}
 	m.modseq++
-	m.touchNet(net.id)
 	clear(net.Sinks[w:])
 	net.Sinks = net.Sinks[:w]
 }
@@ -442,7 +432,6 @@ func (m *Module) RenameNet(n *Net, name string) error {
 		return fmt.Errorf("netlist: net name %q already in use", name)
 	}
 	m.modseq++
-	m.touchNet(n.id)
 	delete(m.netByName, n.Name)
 	n.Name = name
 	m.netByName[name] = n.id
@@ -453,14 +442,11 @@ func (m *Module) RenameNet(n *Net, name string) error {
 // Used by logic cleaning when a buffer is removed.
 func (m *Module) ReplaceSinks(from, to *Net) {
 	m.modseq++
-	m.touchNet(from.id)
-	m.touchNet(to.id)
 	for _, s := range from.Sinks {
 		if s.Inst != nil {
 			if e := s.Inst.connEntry(s.Pin); e != nil {
 				e.Net = to
 			}
-			m.touchInst(s.Inst.id)
 		} else {
 			// Module output port: rebind the port to the surviving net.
 			if p := m.Port(s.Pin); p != nil {

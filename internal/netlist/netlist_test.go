@@ -144,6 +144,27 @@ func TestDisconnectAndRemove(t *testing.T) {
 	}
 }
 
+// An input port on a net that already has a driver is rejected whole: the
+// port is not declared and the module is unchanged.
+func TestAddPortOnNetRejectsDrivenNet(t *testing.T) {
+	m := NewModule("top")
+	a := m.AddPort("a", In).Net
+	seq := m.ModSeq()
+	if _, err := m.AddPortOnNet("a2", In, a); err == nil {
+		t.Fatal("expected an error for an input port on a driven net")
+	}
+	if m.ModSeq() != seq || len(m.Ports) != 1 || m.Port("a2") != nil || a.Driver.Pin != "a" {
+		t.Fatalf("rejected port half-applied: modseq %d→%d, ports %d, driver %s", seq, m.ModSeq(), len(m.Ports), a.Driver)
+	}
+	if errs := m.Validate(ValidateOptions{}); len(errs) != 0 {
+		t.Fatalf("module invalid after a rejected port: %v", errs)
+	}
+	// An output port on the same net is fine.
+	if p, err := m.AddPortOnNet("a_out", Out, a); err != nil || p.Net != a || len(a.Sinks) != 1 {
+		t.Fatalf("output port on a driven net: %v", err)
+	}
+}
+
 func TestReplaceSinks(t *testing.T) {
 	lib := tinyLib()
 	m := NewModule("top")

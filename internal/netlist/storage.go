@@ -84,16 +84,8 @@ type PinConn struct {
 // ID returns the net's dense handle within its module.
 func (n *Net) ID() NetID { return n.id }
 
-// Removed reports whether the net has been removed from its module (only
-// observable between a bulk removal and the batch compaction).
-func (n *Net) Removed() bool { return n.dead }
-
 // ID returns the instance's dense handle within its module.
 func (in *Inst) ID() InstID { return in.id }
-
-// Removed reports whether the instance has been removed from its module
-// (only observable between a bulk removal and the batch compaction).
-func (in *Inst) Removed() bool { return in.dead }
 
 // Conn returns the net connected to the named pin, or nil.
 func (in *Inst) Conn(pin string) *Net {
@@ -174,8 +166,8 @@ func (m *Module) containsInst(in *Inst) bool {
 // dead and defer the order-preserving compaction of the Nets/Insts arrays to
 // the matching EndBulk, turning k removals from k O(n) splices into one O(n)
 // sweep. Calls nest. Between removal and compaction the slices still hold
-// the dead records (check Removed()); the name and ID indices drop them
-// immediately.
+// the removed records (NetByID/InstByID return nil for them); the name and
+// ID indices drop them immediately.
 func (m *Module) BeginBulk() { m.bulkDepth++ }
 
 // EndBulk leaves bulk-mutation mode, compacting the record arrays when the
@@ -219,66 +211,17 @@ func (m *Module) compact() {
 	}
 }
 
-// dirtyLimit bounds the incremental-revalidation work lists; past it the
-// next Validate falls back to a full scan.
-const dirtyLimit = 4096
-
-// validState is the incremental-revalidation baseline: the last clean
-// Validate verdict plus the set of records mutated since. While a baseline
-// holds and the dirty set is bounded, Validate rechecks only the dirty
-// records (ECO splices, FF substitution windows) instead of rescanning the
-// module.
+// validState is the last clean Validate verdict: the modseq it was reached
+// at and the option it was reached under.
 type validState struct {
-	ok            bool   // a clean baseline exists
-	seq           uint64 // modseq at the baseline
-	allowUndriven bool   // option the baseline was established under
-	overflow      bool   // dirty set exceeded dirtyLimit; full scan required
-	dirtyNets     []NetID
-	dirtyInsts    []InstID
+	ok            bool   // a clean verdict exists
+	seq           uint64 // modseq at the verdict
+	allowUndriven bool   // option the verdict was reached under
 }
 
-func (m *Module) touchNet(id NetID) {
-	v := &m.valid
-	if !v.ok || v.overflow {
-		return
-	}
-	if len(v.dirtyNets)+len(v.dirtyInsts) >= dirtyLimit {
-		v.overflow = true
-		return
-	}
-	v.dirtyNets = append(v.dirtyNets, id)
-}
-
-func (m *Module) touchInst(id InstID) {
-	v := &m.valid
-	if !v.ok || v.overflow {
-		return
-	}
-	if len(v.dirtyNets)+len(v.dirtyInsts) >= dirtyLimit {
-		v.overflow = true
-		return
-	}
-	v.dirtyInsts = append(v.dirtyInsts, id)
-}
-
-// noteClean records a fresh clean baseline at the current modseq.
+// noteClean records a clean verdict at the current modseq.
 func (m *Module) noteClean(opts ValidateOptions) {
-	v := &m.valid
-	v.ok = true
-	v.seq = m.modseq
-	v.allowUndriven = opts.AllowUndriven
-	v.overflow = false
-	v.dirtyNets = v.dirtyNets[:0]
-	v.dirtyInsts = v.dirtyInsts[:0]
-}
-
-// dropBaseline forgets the incremental baseline (after a failed validation).
-func (m *Module) dropBaseline() {
-	v := &m.valid
-	v.ok = false
-	v.overflow = false
-	v.dirtyNets = v.dirtyNets[:0]
-	v.dirtyInsts = v.dirtyInsts[:0]
+	m.valid = validState{ok: true, seq: m.modseq, allowUndriven: opts.AllowUndriven}
 }
 
 // scratchState holds the module's reusable validation/hash scratch buffers.
@@ -286,10 +229,9 @@ func (m *Module) dropBaseline() {
 // contract the ModSeq derivation caches rely on), so one set per module
 // keeps the hot paths allocation-free.
 type scratchState struct {
-	portSeen []uint32 // per-port epoch marks (validator)
-	buf      []byte   // line buffer (hash writer)
-	refs     []PinRef // sink sort scratch (hash writer)
-	conns    []PinConn
+	buf   []byte   // line buffer (hash writer)
+	refs  []PinRef // sink sort scratch (hash writer, validator port sinks)
+	conns []PinConn
 }
 
 // sortedCache memoizes the name-sorted net/instance orders on the module's

@@ -12,10 +12,11 @@ type ValidateOptions struct {
 	// substitution and controller insertion the latch-enable nets legally
 	// wait for their driver.
 	AllowUndriven bool
-	// MaxErrors bounds the report (0 = 64). Validation is a diagnostic, not
-	// a dump of every consequence of one broken link.
-	MaxErrors int
 }
+
+// maxValidationErrors bounds Validate's report. Validation is a
+// diagnostic, not a dump of every consequence of one broken link.
+const maxValidationErrors = 64
 
 // Validation rule tags. Each ValidationError carries one, so consumers
 // (drlint wraps them as findings) can classify without parsing messages.
@@ -27,7 +28,7 @@ const (
 	VRuleDriver    = "driver"    // net/driver bookkeeping mismatch
 	VRuleSink      = "sink"      // net/sink bookkeeping mismatch
 	VRuleUndriven  = "undriven"  // net with sinks but no driver
-	VRuleTruncated = "truncated" // report hit MaxErrors; Msg carries the count
+	VRuleTruncated = "truncated" // report hit its bound; Msg carries the count
 )
 
 // ValidationError is one structural invariant violation, tagged with the
@@ -50,36 +51,29 @@ func (e ValidationError) Error() string { return e.Module + ": " + e.Msg }
 // corrupts the netlist is caught at its own boundary instead of surfacing
 // as a wrong answer (or a panic) stages later.
 //
-// The common case — a module that is in fact clean — is allocation-free:
-// a boolean scan over the record arrays using the module's epoch-mark
-// scratch decides cleanliness, and the diagnostic pass (which builds maps
-// and formats messages) runs only when some invariant is actually broken.
-// When a clean baseline exists and only a bounded set of records has been
-// mutated since (ECO splices, FF substitution windows), the scan is further
-// scoped to the dirty records instead of the whole module.
+// A module unchanged since its last clean verdict (same ModSeq, and that
+// verdict reached under an AllowUndriven no looser than opts') is clean
+// without a look; like the ModSeq derivation caches, this trusts that
+// edits go through the mutators (SetConnUnchecked, for one, does not move
+// ModSeq). Otherwise a boolean scan over the record arrays, using the
+// module's epoch-mark scratch, decides cleanliness without allocating, and
+// the diagnostic pass (which builds maps and formats messages) runs only
+// when that scan finds a fault.
 //
-// At most MaxErrors violations are reported; when more exist, the final
-// entry is tagged VRuleTruncated and counts the suppressed remainder.
+// At most 64 violations are reported; when more exist, the final entry is
+// tagged VRuleTruncated and counts the suppressed remainder.
 func (m *Module) Validate(opts ValidateOptions) []ValidationError {
 	m.compact()
-	v := &m.valid
-	if v.ok && !v.overflow && (!v.allowUndriven || opts.AllowUndriven) {
-		if m.modseq == v.seq {
-			return nil // unchanged since the clean baseline
-		}
-		if m.incrementalClean(opts) {
-			m.noteClean(opts)
-			return nil
-		}
-	} else if m.cleanScan(opts.AllowUndriven) {
+	if v := m.valid; v.ok && v.seq == m.modseq && (!v.allowUndriven || opts.AllowUndriven) {
+		return nil
+	}
+	if m.cleanScan(opts.AllowUndriven) {
 		m.noteClean(opts)
 		return nil
 	}
 	errs := m.validateFull(opts)
 	if len(errs) == 0 {
 		m.noteClean(opts)
-	} else {
-		m.dropBaseline()
 	}
 	return errs
 }
@@ -133,10 +127,8 @@ func (m *Module) netEndpointsClean(n *Net, epoch uint32, allowUndriven bool, por
 // instConnClean checks one connection of an instance: the net is non-nil
 // and belongs to the module, the pin exists on the cell or submodule, an
 // output pin is recorded as the net's driver, and an input pin was resolved
-// from some net's sink list during this pass (mark == epoch) — or, when
-// markless is set (incremental scan, where clean nets are not swept), the
-// net's sink list is searched directly.
-func (m *Module) instConnClean(in *Inst, pc *PinConn, epoch uint32, markless bool) bool {
+// from some net's sink list during this pass (mark == epoch).
+func (m *Module) instConnClean(in *Inst, pc *PinConn, epoch uint32) bool {
 	if pc.Net == nil || !m.containsNet(pc.Net) {
 		return false
 	}
@@ -157,9 +149,6 @@ func (m *Module) instConnClean(in *Inst, pc *PinConn, epoch uint32, markless boo
 	ref := PinRef{Inst: in, Pin: pc.Pin}
 	if dir == Out {
 		return pc.Net.Driver == ref
-	}
-	if markless {
-		return slices.Contains(pc.Net.Sinks, ref)
 	}
 	return pc.mark == epoch
 }
@@ -223,85 +212,22 @@ func (m *Module) cleanScan(allowUndriven bool) bool {
 	}
 	for _, in := range m.Insts {
 		for i := range in.conns {
-			if !m.instConnClean(in, &in.conns[i], epoch, false) {
+			if !m.instConnClean(in, &in.conns[i], epoch) {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// incrementalClean rechecks only the records mutated since the clean
-// baseline. Sound under the same contract as the ModSeq derivation caches:
-// mutations go through the module's mutators (which record every touched
-// record); a state corrupted by bypassing them is caught by the next full
-// scan. A false negative here only costs a wasted diagnostic pass — the
-// diagnostic pass, not this scan, decides what errors exist.
-func (m *Module) incrementalClean(opts ValidateOptions) bool {
-	v := &m.valid
-	epoch := m.nextEpoch()
-	portRefs := m.scratch.refs[:0]
-	clean := true
-	for _, id := range v.dirtyNets {
-		n := m.NetByID(id)
-		if n == nil {
-			continue // removed since the baseline
-		}
-		if got, ok := m.netByName[n.Name]; !ok || got != id {
-			clean = false
-			break
-		}
-		if !m.netEndpointsClean(n, epoch, opts.AllowUndriven, &portRefs) {
-			clean = false
-			break
-		}
-	}
-	if clean && dupPortRefs(portRefs) {
-		clean = false
-	}
-	m.scratch.refs = portRefs
-	if !clean {
-		return false
-	}
-	for _, id := range v.dirtyInsts {
-		in := m.InstByID(id)
-		if in == nil {
-			continue
-		}
-		if got, ok := m.instByName[in.Name]; !ok || got != id {
-			return false
-		}
-		if (in.Cell == nil) == (in.Sub == nil) {
-			return false
-		}
-		for i := range in.conns {
-			if !m.instConnClean(in, &in.conns[i], epoch, true) {
-				return false
-			}
-		}
-	}
-	// Ports can be rebound (ReplaceSinks) without a dedicated dirty list;
-	// they are few, so recheck them all.
-	for _, p := range m.Ports {
-		if p.Net == nil || !m.containsNet(p.Net) {
-			return false
 		}
 	}
 	return true
 }
 
 // validateFull is the diagnostic pass: the original full-module algorithm,
-// kept verbatim (message formats and rule tags unchanged) so a dirty module
+// kept verbatim (message formats and rule tags unchanged) so a faulty module
 // reports exactly what it always did.
 func (m *Module) validateFull(opts ValidateOptions) []ValidationError {
-	limit := opts.MaxErrors
-	if limit <= 0 {
-		limit = 64
-	}
 	var errs []ValidationError
 	suppressed := 0
 	report := func(rule, format string, args ...any) {
-		if len(errs) < limit {
+		if len(errs) < maxValidationErrors {
 			errs = append(errs, ValidationError{Rule: rule, Module: m.Name, Msg: fmt.Sprintf(format, args...)})
 		} else {
 			suppressed++
@@ -410,7 +336,7 @@ func (m *Module) validateFull(opts ValidateOptions) []ValidationError {
 		errs = append(errs, ValidationError{
 			Rule:   VRuleTruncated,
 			Module: m.Name,
-			Msg:    fmt.Sprintf("%d further validation errors suppressed (MaxErrors=%d)", suppressed, limit),
+			Msg:    fmt.Sprintf("%d further validation errors suppressed (limit %d)", suppressed, maxValidationErrors),
 		})
 	}
 	return errs

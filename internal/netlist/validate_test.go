@@ -1,12 +1,13 @@
 package netlist
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// Validate's errors are rule-tagged and the report announces how many
-// violations MaxErrors suppressed, instead of silently clipping.
+// Validate's errors are rule-tagged and, past 64 violations, the report
+// announces how many it suppressed instead of silently clipping.
 func TestValidateRuleTagsAndTruncation(t *testing.T) {
 	lib := NewLibrary("tl", "HS")
 	buf := lib.Add(&CellDef{
@@ -15,15 +16,17 @@ func TestValidateRuleTagsAndTruncation(t *testing.T) {
 	})
 
 	m := NewModule("bad")
-	// Many undriven nets with sinks: one finding each.
-	const n = 10
-	for i := 0; i < n; i++ {
-		in := m.AddInst(string(rune('a'+i)), buf)
-		w := m.AddNet("w" + string(rune('a'+i)))
-		if err := m.Connect(in, "A", w); err != nil {
-			t.Fatal(err)
+	// Undriven nets with sinks: one finding each.
+	addUndriven := func(from, to int) {
+		for i := from; i < to; i++ {
+			in := m.AddInst(fmt.Sprintf("g%d", i), buf)
+			if err := m.Connect(in, "A", m.AddNet(fmt.Sprintf("w%d", i))); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	const n = 10
+	addUndriven(0, n)
 
 	errs := m.Validate(ValidateOptions{})
 	if len(errs) != n {
@@ -41,10 +44,11 @@ func TestValidateRuleTagsAndTruncation(t *testing.T) {
 		}
 	}
 
-	// A tighter budget truncates and says by how much.
-	errs = m.Validate(ValidateOptions{MaxErrors: 4})
-	if len(errs) != 5 {
-		t.Fatalf("want 4 errors + truncation marker, got %d", len(errs))
+	// Six past the bound: 64 errors plus a marker counting the rest.
+	addUndriven(n, maxValidationErrors+6)
+	errs = m.Validate(ValidateOptions{})
+	if len(errs) != maxValidationErrors+1 {
+		t.Fatalf("want %d errors + truncation marker, got %d", maxValidationErrors, len(errs))
 	}
 	last := errs[len(errs)-1]
 	if last.Rule != VRuleTruncated {
