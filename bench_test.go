@@ -9,6 +9,7 @@ package bench
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"desync/internal/core"
@@ -266,12 +267,14 @@ func BenchmarkFaultCampaignSmoke(b *testing.B) {
 }
 
 // BenchmarkCampaignParallelDLX runs the same campaign with the parallel
-// fault fan-out at 4 workers. The detection guard is identical to the smoke
-// benchmark — parallelism must not change which faults are caught. On a
-// single-core host the runtime measures scheduling overhead, not speedup.
+// fault fan-out at GOMAXPROCS 4. The detection guard is identical to the
+// smoke benchmark — parallelism must not change which faults are caught.
+// On a single-core host the runtime measures scheduling overhead, not
+// speedup.
 func BenchmarkCampaignParallelDLX(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for i := 0; i < b.N; i++ {
-		rep, err := expt.RunDLXFaultCampaign(context.Background(), nil, expt.FaultCampaignConfig{Parallelism: 4})
+		rep, err := expt.RunDLXFaultCampaign(context.Background(), nil, expt.FaultCampaignConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -281,7 +284,7 @@ func BenchmarkCampaignParallelDLX(b *testing.B) {
 				b.Fatalf("campaign injected no %s faults", class)
 			}
 			if det != inj {
-				b.Fatalf("%s detection %d/%d under -j 4; escaped:\n%s", class, det, inj, rep.Render())
+				b.Fatalf("%s detection %d/%d under GOMAXPROCS 4; escaped:\n%s", class, det, inj, rep.Render())
 			}
 		}
 		b.ReportMetric(float64(len(rep.Outcomes)), "faults")
@@ -289,7 +292,7 @@ func BenchmarkCampaignParallelDLX(b *testing.B) {
 }
 
 // BenchmarkCampaignScalingDLX measures the campaign kernel alone (flow and
-// fault list built outside the timer) across worker counts; it is the
+// fault list built outside the timer) across GOMAXPROCS values; it is the
 // source of the EXPERIMENTS.md scaling table. The numbers are only a
 // speedup curve on a multi-core host — on a single core the sub-benchmarks
 // should coincide, which is itself a useful overhead bound.
@@ -298,9 +301,11 @@ func BenchmarkCampaignScalingDLX(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, j := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(j)
 		b.Run(jobsName(j), func(b *testing.B) {
-			c, err := expt.NewDLXCampaign(context.Background(), f, 0, j)
+			c, err := expt.NewDLXCampaign(context.Background(), f, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,7 +9,7 @@
 //
 //	drdesync -in design.v [-top name] [-lib HS|LL] [-period 2.4] \
 //	         [-mux] [-margin 1.15] [-falsepath net1,net2] [-manual-groups] \
-//	         [-simplify-names] [-faults] [-j N] -out out.v [-sdc out.sdc] [-blif out.blif]
+//	         [-simplify-names] [-faults] -out out.v [-sdc out.sdc] [-blif out.blif]
 //	drdesync -gen pipeline:depth=32,width=64,regions=100 -out out.v [...]
 //
 // -gen desynchronizes a generated design instead of a file: a fixed case
@@ -21,18 +21,19 @@
 // single-region desynchronization (the ARM-style fallback of §5.3) with a
 // warning; when a sized delay element does not cover its region's budget
 // the tool bumps the margin and retries. -faults runs a fault-injection
-// campaign against the result and prints the detection report. -j bounds the
-// workers of the parallel kernels — delay-element sizing, the -equiv gate,
-// the -faults campaign — with 0 meaning all CPUs; every output is identical
-// at any value. Ctrl-C cancels the run cleanly between stages.
+// campaign against the result and prints the detection report. The
+// parallel kernels — delay-element sizing, the -equiv gate, the -faults
+// campaign — run GOMAXPROCS workers (set the GOMAXPROCS environment
+// variable to bound them); every output is identical at any value. Ctrl-C
+// cancels the run cleanly between stages.
 //
 // After export the tool always runs the static marked-graph gate
 // (internal/mga): polynomial-time liveness, token-bound safety and a
 // static period bound over the inserted control network, deterministic at
-// any -j. The optional -equiv gate then explores the same extraction
-// exhaustively; when the design's protocol-state estimate exceeds the
-// -max-states reach, the static gate stands alone and the tool says so
-// explicitly instead of truncating a search.
+// any GOMAXPROCS. The optional -equiv gate then explores the same
+// extraction exhaustively; when the design's protocol-state estimate
+// exceeds the -equiv-max-states reach, the static gate stands alone and
+// the tool says so explicitly instead of truncating a search.
 //
 // The gates and fallbacks are internal/vflow's, the same sequence the
 // drserve job server runs; this command renders their outcome.
@@ -91,7 +92,6 @@ func main() {
 	flag.IntVar(&o.EquivMaxStates, "equiv-max-states", 0, "marking budget for the -equiv gate (0: engine default)")
 	flag.IntVar(&o.EquivXval, "equiv-xval", 0, "cross-validate the -equiv model against N randomized simulator traces")
 	cliutil.SeedVar(flag.CommandLine, &o.EquivSeed, "equiv-seed", 1, "PRNG seed for -equiv-xval traces")
-	cliutil.ParallelismVar(flag.CommandLine, &o.Flow.Parallelism)
 	flag.BoolVar(&o.Faults, "faults", false, "run a fault-injection campaign on the desynchronized design")
 	flag.IntVar(&o.FaultCycles, "fault-cycles", 12, "campaign run length in clock periods")
 	flag.IntVar(&o.FaultsPerRegion, "faults-per-region", 2, "delay faults injected per region")

@@ -45,7 +45,7 @@ func TestGoldenReports(t *testing.T) {
 // The static goldens pin the -static report the same way: verdicts,
 // period bound, critical cycle and the per-region table must stay
 // byte-identical, and a second run in the same process must reproduce
-// the first run exactly (the report promises determinism at any -j).
+// the first run exactly (the report promises determinism at any GOMAXPROCS).
 func TestGoldenStaticReports(t *testing.T) {
 	for _, gen := range []string{"dlx", "fir"} {
 		t.Run(gen, func(t *testing.T) {

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	drequiv -in design.v [-top name] [-lib HS|LL] [-max-states N] \
-//	        [-no-reduce] [-xval N] [-seed S] [-j N] [-dump-ce trace.json] [-json]
+//	        [-no-reduce] [-xval N] [-seed S] [-dump-ce trace.json] [-json]
 //	drequiv -gen dlx|arm|fir [...]
 //	drequiv -gen pipeline:depth=32,width=64,regions=100 [...]
 //	drequiv -gen dlx -replay trace.json
@@ -18,19 +18,19 @@
 // their hand-tuned case-study flows, and any other designs.ParseSpec spec
 // (pipeline, riscv, des) runs the generic desynchronization flow. -xval N
 // cross-validates the model against N randomized simulator traces (seeded
-// with -seed, recorded in the JSON report, so failures reproduce). -j bounds
-// the exploration and cross-validation workers (0: all CPUs); the report —
+// with -seed, recorded in the JSON report, so failures reproduce). The
+// exploration and cross-validation run GOMAXPROCS workers; the report —
 // state counts, counterexample traces, truncation — is identical at any
-// value, so -max-states and -no-reduce compose with it unchanged. -dump-ce
-// writes the counterexample of a violated property as a JSON trace;
-// -replay feeds such a trace back through the gate-level simulator to
-// confirm the interleaving dynamically.
+// GOMAXPROCS, so -max-states and -no-reduce compose with it unchanged.
+// -dump-ce writes the counterexample of a violated property as a JSON
+// trace; -replay feeds such a trace back through the gate-level simulator
+// to confirm the interleaving dynamically.
 //
 // -static replaces the exhaustive exploration with the polynomial-time
 // marked-graph analysis of internal/mga: structural liveness and safety
 // verdicts plus the static period bound and critical handshake cycle. Its
-// report is deterministic (byte-identical across runs and -j values) and
-// reaches designs whose state space no marking budget covers.
+// report is deterministic (byte-identical across runs and GOMAXPROCS
+// values) and reaches designs whose state space no marking budget covers.
 //
 // Exit codes: 0 all properties proved (and replay confirmed), 1 a property
 // was disproved (or replay did not confirm), 2 usage or input errors.
@@ -67,7 +67,6 @@ type equivOpts struct {
 	static                   bool
 	xval                     int
 	seed                     int64
-	parallelism              int
 	dumpCE, replay           string
 }
 
@@ -84,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.static, "static", false, "run the polynomial-time marked-graph analysis instead of the exhaustive exploration")
 	fs.IntVar(&o.xval, "xval", 0, "cross-validate against N randomized simulator traces")
 	cliutil.SeedVar(fs, &o.seed, "seed", 1, "PRNG seed for -xval trace generation")
-	cliutil.ParallelismVar(fs, &o.parallelism)
 	fs.BoolVar(&o.jsonOut, "json", false, "emit the report as JSON")
 	fs.StringVar(&o.dumpCE, "dump-ce", "", "write the counterexample trace of a violated property to this JSON file")
 	fs.StringVar(&o.replay, "replay", "", "replay a dumped counterexample trace through the simulator and confirm it")
@@ -126,16 +124,12 @@ func equivRun(ctx context.Context, o equivOpts, stdout io.Writer) (int, error) {
 		return replayRun(o, mod, m, stdout)
 	}
 
-	res, err := m.Explore(ctx, equiv.ExploreOptions{
-		MaxStates: o.maxStates, NoReduce: o.noReduce, Parallelism: o.parallelism,
-	})
+	res, err := m.Explore(ctx, equiv.ExploreOptions{MaxStates: o.maxStates, NoReduce: o.noReduce})
 	if err != nil {
 		return 0, err
 	}
 	if o.xval > 0 && res.Violation == nil {
-		xv, err := m.CrossValidate(ctx, mod, equiv.XValConfig{
-			Traces: o.xval, Seed: o.seed, Parallelism: o.parallelism,
-		})
+		xv, err := m.CrossValidate(ctx, mod, equiv.XValConfig{Traces: o.xval, Seed: o.seed})
 		if err != nil {
 			return 0, err
 		}
@@ -207,7 +201,7 @@ func replayRun(o equivOpts, mod *netlist.Module, m *equiv.Model, stdout io.Write
 	if err != nil {
 		return 0, err
 	}
-	rep, err := equiv.Replay(mod, m, tr, equiv.ReplayConfig{})
+	rep, err := equiv.Replay(mod, m, tr)
 	if err != nil {
 		return 0, err
 	}
@@ -252,7 +246,7 @@ func loadModule(o equivOpts) (*netlist.Module, error) {
 	if o.gen != "" {
 		switch o.gen {
 		case "dlx":
-			f, err := expt.RunDLXFlow(expt.FlowConfig{Parallelism: o.parallelism})
+			f, err := expt.RunDLXFlow(expt.FlowConfig{})
 			if err != nil {
 				return nil, err
 			}
@@ -264,7 +258,7 @@ func loadModule(o equivOpts) (*netlist.Module, error) {
 			}
 			return f.Desync.Top, nil
 		case "fir":
-			f, err := expt.RunFIRFlow(expt.FlowConfig{Parallelism: o.parallelism})
+			f, err := expt.RunFIRFlow()
 			if err != nil {
 				return nil, err
 			}
@@ -275,7 +269,7 @@ func loadModule(o equivOpts) (*netlist.Module, error) {
 		if !designs.ValidSpec(o.gen) {
 			return nil, fmt.Errorf("unknown -gen design %q (want %s, with pipeline key=value params)", o.gen, strings.Join(designs.SpecNames(), "|"))
 		}
-		f, err := expt.RunGenFlow(o.gen, expt.FlowConfig{Parallelism: o.parallelism})
+		f, err := expt.RunGenFlow(o.gen, expt.FlowConfig{})
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func TestCleanDLX(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var out, errb bytes.Buffer
 	if code := run([]string{"-gen", "dlx"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
@@ -24,13 +26,14 @@ func TestCleanDLX(t *testing.T) {
 		}
 	}
 
-	// The -j flag must not change a single byte of the report.
+	// The worker count must not change a single byte of the report.
+	runtime.GOMAXPROCS(4)
 	var out4, errb4 bytes.Buffer
-	if code := run([]string{"-gen", "dlx", "-j", "4"}, &out4, &errb4); code != 0 {
-		t.Fatalf("-j 4: exit %d, stderr: %s", code, errb4.String())
+	if code := run([]string{"-gen", "dlx"}, &out4, &errb4); code != 0 {
+		t.Fatalf("GOMAXPROCS 4: exit %d, stderr: %s", code, errb4.String())
 	}
 	if !bytes.Equal(out.Bytes(), out4.Bytes()) {
-		t.Errorf("report depends on -j:\n--- -j default ---\n%s\n--- -j 4 ---\n%s", out.String(), out4.String())
+		t.Errorf("report depends on GOMAXPROCS:\n--- 1 ---\n%s\n--- 4 ---\n%s", out.String(), out4.String())
 	}
 }
 
@@ -111,6 +114,7 @@ func TestUsageErrors(t *testing.T) {
 		{},
 		{"-gen", "dlx", "-in", "x.v"},
 		{"-gen", "nonesuch"},
+		{"-gen", "dlx", "-j", "4"}, // the worker count is GOMAXPROCS, not a flag
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

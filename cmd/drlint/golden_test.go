@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"desync/internal/expt"
@@ -62,13 +63,18 @@ func TestGoldenDesyncDLX(t *testing.T) {
 	}
 	goldenCompare(t, "dlx_desync.json", append(out, '\n'))
 
-	// The parallel timing cross-checks must reproduce the same golden.
-	rep4 := lint.Check(f.Desync.Top, lint.Options{Desync: true, Constraints: f.Result.Constraints, Parallelism: 4})
-	out4, err := rep4.JSON()
-	if err != nil {
-		t.Fatal(err)
+	// The parallel timing cross-checks must reproduce the same golden at
+	// GOMAXPROCS 1 and 4.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		rep := lint.Check(f.Desync.Top, lint.Options{Desync: true, Constraints: f.Result.Constraints})
+		out, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldenCompare(t, "dlx_desync.json", append(out, '\n'))
 	}
-	goldenCompare(t, "dlx_desync.json", append(out4, '\n'))
 }
 
 func TestGoldenDesyncARM(t *testing.T) {

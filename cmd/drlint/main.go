@@ -31,7 +31,6 @@ import (
 	"io"
 	"os"
 
-	"desync/internal/cliutil"
 	"desync/internal/ctrlnet"
 	"desync/internal/designs"
 	"desync/internal/lint"
@@ -51,7 +50,6 @@ type lintOpts struct {
 	baseline, writeBaseline  string
 	desync, midflow          bool
 	jsonOut, rules           bool
-	parallelism              int
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -69,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.baseline, "baseline", "", "baseline file of accepted findings (rule|module|inst|net per line)")
 	fs.StringVar(&o.writeBaseline, "write-baseline", "", "write the current findings as a baseline file and exit 0")
 	fs.BoolVar(&o.rules, "rules", false, "print the rule catalog and exit")
-	cliutil.ParallelismVar(fs, &o.parallelism)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -99,7 +96,7 @@ func lintRun(o lintOpts, stdout io.Writer) (int, error) {
 		return 0, err
 	}
 
-	opts := lint.Options{Desync: o.desync, MidFlow: o.midflow, Parallelism: o.parallelism}
+	opts := lint.Options{Desync: o.desync, MidFlow: o.midflow}
 	if o.sdcIn != "" {
 		text, err := os.ReadFile(o.sdcIn)
 		if err != nil {

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	drserve [-addr :8080] [-queue 16] [-workers 2] [-j N] [-cache 64]
+//	drserve [-addr :8080] [-queue 16] [-workers 2] [-cache 64]
 //	        [-max-upload 4194304] [-drain-grace 5s]
 //	drserve -smoke
 //
@@ -35,6 +35,10 @@
 // the repository benchmark's serve workload (bash perfbench/run.sh
 // --workload serve), which sends a fresh-plus-cached-repeat mix over real
 // HTTP and checks every artifact against a pinned digest.
+//
+// Each job's parallel kernels run GOMAXPROCS workers (set the GOMAXPROCS
+// environment variable to bound them); artifacts are identical at any
+// value.
 //
 // Exit codes: 0 clean (server drained, smoke passed), 1 failure, 2 usage
 // errors.
@@ -69,7 +73,6 @@ type serveOpts struct {
 	cache      int
 	maxUpload  int64
 	drainGrace time.Duration
-	jobJ       int
 
 	smoke bool
 }
@@ -84,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.cache, "cache", 0, "content-addressed result cache entries (0 = 64)")
 	fs.Int64Var(&o.maxUpload, "max-upload", 0, "POST body bound in bytes (0 = 4 MiB)")
 	fs.DurationVar(&o.drainGrace, "drain-grace", 0, "running-job grace after SIGTERM (0 = 5s)")
-	cliutil.ParallelismVar(fs, &o.jobJ)
 	fs.BoolVar(&o.smoke, "smoke", false, "run the self-contained smoke check and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -93,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := flowserv.Config{
 		QueueDepth:     o.queue,
 		Workers:        o.workers,
-		JobParallelism: o.jobJ,
 		CacheEntries:   o.cache,
 		MaxUploadBytes: o.maxUpload,
 		DrainGrace:     o.drainGrace,

@@ -13,14 +13,14 @@
 //	        [-delay-factor 40] [-per-region 2] [-glitches]
 //	        [-checkpoint sweep.journal] [-resume] [-fsync-every 64]
 //	        [-scenario-timeout 30s] [-max-failures N]
-//	        [-seed 5] [-j N] [-json] [-quiet]
+//	        [-seed 5] [-json] [-quiet]
 //
-// The sweep streams: scenarios run on -j workers, fold in scenario order
-// into bounded-memory aggregates, and (with -checkpoint) into an
+// The sweep streams: scenarios run on GOMAXPROCS workers, fold in scenario
+// order into bounded-memory aggregates, and (with -checkpoint) into an
 // append-only journal. Ctrl-C or SIGTERM cancels cleanly after the
 // journal's current prefix is durable; rerunning with -resume replays that
 // prefix and continues, converging to the same report byte-for-byte as an
-// uninterrupted run at any -j. Scenarios that panic or exceed
+// uninterrupted run at any GOMAXPROCS. Scenarios that panic or exceed
 // -scenario-timeout are quarantined as recorded failures, never a crashed
 // sweep; -max-failures stops gracefully once the budget is spent.
 //
@@ -57,7 +57,6 @@ type sweepOpts struct {
 	fsyncEvery, maxFailures int
 	scenarioTimeout         time.Duration
 	seed                    int64
-	parallelism             int
 	jsonOut, quiet          bool
 }
 
@@ -78,8 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.fsyncEvery, "fsync-every", 64, "journal records per fsync (1: every record)")
 	fs.IntVar(&o.maxFailures, "max-failures", 0, "stop gracefully after this many quarantined scenarios (0: no budget)")
 	cliutil.DurationVar(fs, &o.scenarioTimeout, "scenario-timeout", 0, "wall-clock budget per scenario; overruns are quarantined")
-	cliutil.SeedVar(fs, &o.seed, "seed", 5, "random seed for chip draws and per-scenario jitter")
-	cliutil.ParallelismVar(fs, &o.parallelism)
+	cliutil.SeedVar(fs, &o.seed, "seed", 5, "random seed for the Monte Carlo chip draws")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit the report as JSON")
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress progress on stderr")
 	if err := fs.Parse(args); err != nil {
@@ -111,8 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg := expt.SurfaceConfig{
 			Corners: o.corners, Chips: o.chips, Sigma: o.sigma,
 			Cycles: o.cycles, DelayFactor: o.delayFactor,
-			DelayPerRegion: o.perRegion, Glitches: o.glitches,
-			Seed: o.seed, Parallelism: o.parallelism,
+			DelayPerRegion: o.perRegion, Glitches: o.glitches, Seed: o.seed,
 			Checkpoint: o.checkpoint, Resume: o.resume, FsyncEvery: o.fsyncEvery,
 			ScenarioTimeout: o.scenarioTimeout, MaxFailures: o.maxFailures,
 			Progress: progress,
@@ -124,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rep, err = expt.DLXRobustnessSurface(ctx, nil, cfg)
 			return err
 		}
-		f, err := expt.RunGenFlow(o.gen, expt.FlowConfig{Parallelism: o.parallelism})
+		f, err := expt.RunGenFlow(o.gen, expt.FlowConfig{})
 		if err != nil {
 			return err
 		}

@@ -11,7 +11,11 @@
 //	experiments -sweep
 //	experiments -static
 //	experiments -backends
-//	            [-cycles 25] [-chips 60] [-sel 3] [-seed 5] [-j N]
+//	            [-cycles 25] [-chips 60] [-sel 3] [-seed 5]
+//
+// The parallel kernels (the fault campaign, the sweep, the equiv
+// exploration) run GOMAXPROCS workers; every table is identical at any
+// value.
 package main
 
 import (
@@ -43,9 +47,7 @@ func main() {
 		scale   = flag.String("scale", "", "measure the netlist-core scaling table at these comma-separated instance counts (e.g. 10000,100000,1000000)")
 	)
 	var seed int64
-	var jobs int
 	cliutil.SeedVar(flag.CommandLine, &seed, "seed", 5, "random seed")
-	cliutil.ParallelismVar(flag.CommandLine, &jobs)
 	flag.Parse()
 	if !*all && *table == "" && *fig == "" && !*faults && !*doSweep && !*doStat && !*doBacks && *scale == "" {
 		flag.Usage()
@@ -139,9 +141,7 @@ func main() {
 		run("faults", func() error {
 			ctx, cancel := cliutil.Context()
 			defer cancel()
-			rep, err := expt.RunDLXFaultCampaign(ctx, nil, expt.FaultCampaignConfig{
-				Glitches: true, Parallelism: jobs,
-			})
+			rep, err := expt.RunDLXFaultCampaign(ctx, nil, expt.FaultCampaignConfig{Glitches: true})
 			if err != nil {
 				return err
 			}
@@ -151,7 +151,7 @@ func main() {
 	}
 	if *all || *doStat {
 		run("static", func() error {
-			tab, err := static.Run(static.Options{SimCycles: *cycles * 16, Parallelism: jobs})
+			tab, err := static.Run(static.Options{SimCycles: *cycles * 16})
 			if err != nil {
 				return err
 			}
@@ -163,8 +163,7 @@ func main() {
 	if *all || *doBacks {
 		run("backends", func() error {
 			rows, err := expt.CompareBackends(expt.DefaultComparisonSpecs,
-				[]string{core.BackendDesync, core.BackendTwoPhase},
-				expt.FlowConfig{Parallelism: jobs})
+				[]string{core.BackendDesync, core.BackendTwoPhase}, expt.FlowConfig{})
 			if err != nil {
 				return err
 			}
@@ -176,13 +175,11 @@ func main() {
 		run("sweep", func() error {
 			ctx, cancel := cliutil.Context()
 			defer cancel()
-			f, err := expt.RunDLXFlow(expt.FlowConfig{Parallelism: jobs})
+			f, err := expt.RunDLXFlow(expt.FlowConfig{})
 			if err != nil {
 				return err
 			}
-			rep, err := expt.DLXRobustnessSurface(ctx, f, expt.SurfaceConfig{
-				Seed: seed, Parallelism: jobs,
-			})
+			rep, err := expt.DLXRobustnessSurface(ctx, f, expt.SurfaceConfig{Seed: seed})
 			if err != nil {
 				return err
 			}
@@ -218,7 +215,7 @@ func main() {
 			}
 			ctx, cancel := cliutil.Context()
 			defer cancel()
-			return expt.RenderScaleTable(ctx, os.Stdout, targets, jobs)
+			return expt.RenderScaleTable(ctx, os.Stdout, targets)
 		})
 	}
 }

@@ -72,6 +72,12 @@
 //	            allowlist, never waved through silently. (Detection is
 //	            syntactic: it sees maps declared or received in the same
 //	            function, which is where the footgun lives.)
+//	RL-WORKERS  The parallel kernels' worker count is one rule owned by
+//	            internal/par (par.Workers: GOMAXPROCS), not an option. Outside
+//	            internal/par no code reads runtime.GOMAXPROCS or
+//	            runtime.NumCPU, and no struct anywhere declares a Parallelism
+//	            field, so a per-call worker knob cannot grow back; bound the
+//	            workers with the GOMAXPROCS environment variable instead.
 //
 // Exit status is 1 when any finding is produced, 2 on usage/parse errors.
 package main
@@ -240,6 +246,7 @@ func checkFile(fset *token.FileSet, rel string, f *ast.File) []finding {
 		out = append(out, checkNetIDMaps(fset, rel, f)...)
 	}
 	out = append(out, checkBackendBoundaries(fset, rel, f)...)
+	out = append(out, checkWorkers(fset, rel, f)...)
 	// RL-GATES: the verified flow's front ends import no gate engine.
 	if strings.HasPrefix(rel, "cmd/drdesync/") || strings.HasPrefix(rel, "internal/flowserv/") {
 		for _, imp := range f.Imports {
@@ -293,6 +300,46 @@ func checkFile(fset *token.FileSet, rel string, f *ast.File) []finding {
 			out = append(out, checkMapOrder(fset, fn)...)
 		}
 	}
+	return out
+}
+
+// checkWorkers enforces RL-WORKERS: outside internal/par, no reference to
+// runtime.GOMAXPROCS or runtime.NumCPU (through whatever name the file
+// imports runtime under), and nowhere a struct field named Parallelism.
+func checkWorkers(fset *token.FileSet, rel string, f *ast.File) []finding {
+	runtimeName := ""
+	if !strings.HasPrefix(rel, "internal/par/") {
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) != "runtime" {
+				continue
+			}
+			runtimeName = "runtime"
+			if imp.Name != nil {
+				runtimeName = imp.Name.Name
+			}
+		}
+	}
+	var out []finding
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			if pkg, ok := x.X.(*ast.Ident); ok && runtimeName != "" && pkg.Name == runtimeName &&
+				(x.Sel.Name == "GOMAXPROCS" || x.Sel.Name == "NumCPU") {
+				out = append(out, finding{fset.Position(x.Pos()), "RL-WORKERS",
+					fmt.Sprintf("runtime.%s outside internal/par: the worker count is par.Workers(), set through the GOMAXPROCS environment variable", x.Sel.Name)})
+			}
+		case *ast.StructType:
+			for _, fld := range x.Fields.List {
+				for _, name := range fld.Names {
+					if name.Name == "Parallelism" {
+						out = append(out, finding{fset.Position(name.Pos()), "RL-WORKERS",
+							"a Parallelism field makes the worker count a per-call option; the par primitives size their pools from GOMAXPROCS"})
+					}
+				}
+			}
+		}
+		return true
+	})
 	return out
 }
 

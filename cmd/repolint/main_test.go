@@ -581,3 +581,46 @@ func substituteOne() { conns := map[string]*netlist.Net{}; _ = conns }
 		t.Fatalf("allowlisted site flagged: %v", got)
 	}
 }
+
+func TestWorkersRuleFires(t *testing.T) {
+	src := `package foo
+import rt "runtime"
+type Config struct {
+	Depth       int
+	Parallelism int
+}
+func Workers() int { return rt.NumCPU() }
+func Set(n int) { rt.GOMAXPROCS(n) }
+`
+	got := check(t, "cmd/foo/main.go", src)
+	if len(got) != 3 || got[0] != "RL-WORKERS" || got[1] != "RL-WORKERS" || got[2] != "RL-WORKERS" {
+		t.Fatalf("want 3 RL-WORKERS (field, NumCPU, GOMAXPROCS), got %v", got)
+	}
+}
+
+func TestWorkersRuleAcceptsPar(t *testing.T) {
+	owner := `package par
+import "runtime"
+func Workers() int { return runtime.GOMAXPROCS(0) }
+`
+	if got := check(t, "internal/par/par.go", owner); len(got) != 0 {
+		t.Fatalf("internal/par flagged for owning the worker rule: %v", got)
+	}
+	other := `package foo
+import "runtime"
+type Config struct{ Workers int }
+func Yield() { runtime.Gosched() }
+`
+	if got := check(t, "internal/foo/foo.go", other); len(got) != 0 {
+		t.Fatalf("clean file flagged: %v", got)
+	}
+}
+
+func TestWorkersRuleCoversPar(t *testing.T) {
+	src := `package par
+type Options struct{ Parallelism int }
+`
+	if got := check(t, "internal/par/opts.go", src); len(got) != 1 || got[0] != "RL-WORKERS" {
+		t.Fatalf("want RL-WORKERS for a Parallelism field even in internal/par, got %v", got)
+	}
+}

@@ -1,11 +1,8 @@
 // Package cliutil holds the flag and lifecycle conventions shared by the
-// flow's command-line tools. Every CLI that drives a parallel kernel
-// (drdesync, drlint, drequiv, experiments) registers the same -j flag
-// through ParallelismVar, so the worker bound reads identically everywhere
-// and the "0 means GOMAXPROCS, output identical at any value" contract is
-// stated once. Seed flags keep their historical per-tool names and defaults
-// (drequiv -seed 1, experiments -seed 5, drdesync -equiv-seed 1) but are
-// registered through SeedVar so the reproducibility wording stays uniform.
+// flow's command-line tools. Seed flags keep their historical per-tool
+// names and defaults (drequiv -seed 1, experiments -seed 5, drdesync
+// -equiv-seed 1) but are registered through SeedVar so the reproducibility
+// wording stays uniform.
 package cliutil
 
 import (
@@ -18,15 +15,6 @@ import (
 	"syscall"
 	"time"
 )
-
-// ParallelismUsage is the shared help text of the -j flag.
-const ParallelismUsage = "worker bound for the parallel kernels (0: all CPUs); results are identical at any value"
-
-// ParallelismVar registers the shared -j flag on fs. The zero default defers
-// to GOMAXPROCS inside the kernels (internal/par.Workers).
-func ParallelismVar(fs *flag.FlagSet, p *int) {
-	fs.IntVar(p, "j", 0, ParallelismUsage)
-}
 
 // SeedVar registers a PRNG seed flag under the tool's historical name and
 // default, with a uniform reproducibility suffix on the usage string.

@@ -19,27 +19,6 @@ func newFS() *flag.FlagSet {
 	return fs
 }
 
-func TestParallelismVar(t *testing.T) {
-	fs := newFS()
-	var j int
-	ParallelismVar(fs, &j)
-	if err := fs.Parse([]string{"-j", "4"}); err != nil {
-		t.Fatal(err)
-	}
-	if j != 4 {
-		t.Fatalf("-j 4 parsed as %d", j)
-	}
-
-	fs = newFS()
-	ParallelismVar(fs, &j)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if j != 0 {
-		t.Fatalf("default -j = %d, want 0 (GOMAXPROCS)", j)
-	}
-}
-
 func TestSeedVarKeepsNameAndDefault(t *testing.T) {
 	fs := newFS()
 	var seed int64

@@ -41,7 +41,7 @@ func (desyncBackend) Substitute(ctx context.Context, f *Flow) error {
 
 func (desyncBackend) Size(ctx context.Context, f *Flow) error {
 	f.Res.DDG = BuildDDG(f.Design.Top)
-	levels, rds, err := SizeDelayElements(ctx, f.Design, f.Res.DDG, f.Opts.Margin, f.Opts.Parallelism)
+	levels, rds, err := SizeDelayElements(ctx, f.Design, f.Res.DDG, f.Opts.Margin)
 	if err != nil {
 		return err
 	}
@@ -69,10 +69,9 @@ func (desyncBackend) Generate(ctx context.Context, f *Flow) error {
 
 func (desyncBackend) Verify(ctx context.Context, f *Flow) error {
 	f.Res.Network = ctrlnet.Derive(f.Design.Top)
-	f.Res.CtrlDiff = ctrlnet.Diff(f.Res.Insert.Claim, f.Res.Network)
-	if len(f.Res.CtrlDiff) > 0 {
+	if diff := ctrlnet.Diff(f.Res.Insert.Claim, f.Res.Network); len(diff) > 0 {
 		return fmt.Errorf("netlist disagrees with the generate stage's claim: %v (and %d more)",
-			f.Res.CtrlDiff[0], len(f.Res.CtrlDiff)-1)
+			diff[0], len(diff)-1)
 	}
 	return nil
 }

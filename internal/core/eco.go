@@ -113,7 +113,7 @@ func ecoMeasure(ctx context.Context, d *netlist.Design, res *Result, g int, ctl 
 	if math.IsInf(elem, -1) {
 		return 0, 0, fmt.Errorf("core: region %d request path unconstrained", g)
 	}
-	rds, err := r.RegionDelays(ctx, 0)
+	rds, err := r.RegionDelays(ctx)
 	if err != nil {
 		return 0, 0, err
 	}

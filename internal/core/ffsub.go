@@ -90,30 +90,23 @@ func SubstituteFlipFlops(d *netlist.Design) (*SubstituteResult, error) {
 	m.EndBulk()
 	res.FFs = len(ffs)
 
-	// Remove clock nets that no longer drive anything, and their ports —
-	// in name order, so the result (and any report built from it) does not
-	// inherit the map's iteration order.
+	// Remove clock nets that no longer drive anything, and their input
+	// ports — in name order, so the result (and any report built from it)
+	// does not inherit the map's iteration order. A clock net that still
+	// has a sink (an output port reading the clock, a clock-gating cell)
+	// stays, with its port.
 	clks := make([]*netlist.Net, 0, len(clockNets))
 	for n := range clockNets {
 		clks = append(clks, n)
 	}
 	sort.Slice(clks, func(i, j int) bool { return clks[i].Name < clks[j].Name })
 	for _, n := range clks {
-		if len(n.Sinks) == 0 || onlyPortSinks(n) {
+		if len(n.Sinks) == 0 {
 			removeNetAndPort(m, n)
 			res.ClockNets = append(res.ClockNets, n.Name)
 		}
 	}
 	return res, nil
-}
-
-func onlyPortSinks(n *netlist.Net) bool {
-	for _, s := range n.Sinks {
-		if s.Inst != nil {
-			return false
-		}
-	}
-	return true
 }
 
 func removeNetAndPort(m *netlist.Module, n *netlist.Net) {
@@ -124,7 +117,6 @@ func removeNetAndPort(m *netlist.Module, n *netlist.Net) {
 		}
 	}
 	n.Driver = netlist.PinRef{}
-	n.Sinks = nil
 	_ = m.RemoveNet(n)
 }
 

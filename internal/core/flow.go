@@ -35,8 +35,8 @@ type Result struct {
 	RegionDelays map[int]*sta.RegionDelay
 	Constraints  *sdc.Constraints
 
-	// DDG, DelayLevels, Insert, UnderMargin, Network and CtrlDiff are
-	// desync-backend results; they stay nil/empty under other backends.
+	// DDG, DelayLevels, Insert, UnderMargin and Network are desync-backend
+	// results; they stay nil/empty under other backends.
 	DDG         *DDG
 	DelayLevels map[int]int
 	Insert      *InsertResult
@@ -49,10 +49,6 @@ type Result struct {
 	// (ctrlnet.Derive); downstream consumers — lint's DS-* rules, the equiv
 	// model, fault campaigns — reuse it instead of re-deriving their own.
 	Network *ctrlnet.Network
-	// CtrlDiff lists disagreements between the insert stage's Claim and
-	// Network. Always empty on a successful flow: any mismatch is a flow
-	// error at the export stage.
-	CtrlDiff []ctrlnet.Mismatch
 
 	// BackendResult carries a non-desync backend's own record of what it
 	// generated (*twophase.Result for the two-phase backend); nil under

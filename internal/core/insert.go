@@ -17,10 +17,9 @@ import (
 // SizeDelayElements computes, per region, the AND-chain depth whose
 // worst-corner rise delay covers the region's launch-to-capture budget
 // (§3.2.5): source clock-to-output + combinational critical path + setup,
-// times the margin. Returns levels per region. The per-region budget
-// extraction fans out over parallelism workers (0 = GOMAXPROCS).
-func SizeDelayElements(ctx context.Context, d *netlist.Design, ddg *DDG, margin float64, parallelism int) (map[int]int, map[int]*sta.RegionDelay, error) {
-	rds, err := sta.RegionDelays(ctx, d.Top, netlist.Worst, sta.Options{Parallelism: parallelism})
+// times the margin. Returns levels per region.
+func SizeDelayElements(ctx context.Context, d *netlist.Design, ddg *DDG, margin float64) (map[int]int, map[int]*sta.RegionDelay, error) {
+	rds, err := sta.RegionDelays(ctx, d.Top, netlist.Worst, sta.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

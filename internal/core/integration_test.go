@@ -201,3 +201,43 @@ func TestMultipleClocksRejected(t *testing.T) {
 		t.Fatalf("StageOf = %q, want %q", StageOf(err), StageImport)
 	}
 }
+
+// TestClockFeedingOutputPortConverts: a clock net that also drives an
+// output port (assign clk_out = clk) is not dead after substitution — the
+// port still reads it — so the net and its input port stay, and the
+// converted module validates with clk_out still bound to the clock.
+func TestClockFeedingOutputPortConverts(t *testing.T) {
+	src := `module top (clk, rstn, d, q, clk_out);
+  input clk, rstn, d;
+  output q, clk_out;
+  wire q0;
+  DFFRQX1 r0 (.D(d), .CK(clk), .RN(rstn), .Q(q0));
+  DFFRQX1 r1 (.D(q0), .CK(clk), .RN(rstn), .Q(q));
+  assign clk_out = clk;
+endmodule
+`
+	d, err := verilog.Read(src, hs(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range d.Top.Insts {
+		in.Group = 1
+	}
+	res, err := Convert(context.Background(), d, Options{Period: 5, ManualGroups: true})
+	if err != nil {
+		t.Fatalf("convert: %v", err)
+	}
+	if len(res.Substitution.ClockNets) != 0 {
+		t.Fatalf("removed clock nets %v although clk_out still reads the clock", res.Substitution.ClockNets)
+	}
+	clk, out := d.Top.Port("clk"), d.Top.Port("clk_out")
+	if clk == nil || out == nil {
+		t.Fatalf("ports after conversion: clk %v, clk_out %v", clk, out)
+	}
+	if clk.Net == nil || clk.Net != out.Net || d.Top.Net(clk.Net.Name) != clk.Net {
+		t.Fatalf("clk_out no longer reads the live clock net: clk %v, clk_out %v", clk.Net, out.Net)
+	}
+	if !strings.Contains(verilog.Write(d), "assign clk_out = clk;") {
+		t.Fatal("exported netlist lost assign clk_out = clk")
+	}
+}

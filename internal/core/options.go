@@ -61,10 +61,6 @@ type Options struct {
 	// streams these to clients; the callback runs on the flow's goroutine,
 	// so it must be fast and must not call back into the design.
 	Progress func(stage string)
-	// Parallelism bounds the workers of the flow's parallel kernels
-	// (per-region STA extraction during sizing); 0 means GOMAXPROCS. The
-	// flow's output is identical at any value.
-	Parallelism int
 }
 
 // Canonicalize returns the options with every documented default explicit

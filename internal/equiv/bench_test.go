@@ -3,6 +3,7 @@ package equiv
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -51,7 +52,7 @@ func BenchmarkEquivDLX(b *testing.B) {
 }
 
 // BenchmarkEquivParallelDLX prices the same exploration with the parallel
-// frontier engine at 4 workers. On a single-core host this measures the
+// frontier engine at GOMAXPROCS 4. On a single-core host this measures the
 // sharding overhead, not a speedup; the guard is the determinism pin — the
 // parallel search must land on exactly the serial state count.
 func BenchmarkEquivParallelDLX(b *testing.B) {
@@ -63,10 +64,11 @@ func BenchmarkEquivParallelDLX(b *testing.B) {
 	if err != nil {
 		b.Fatalf("FromNetwork: %v", err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		res := mustExplore(b, m, ExploreOptions{Parallelism: 4})
+		res := mustExplore(b, m, ExploreOptions{})
 		if d := time.Since(start); d > dlxExploreBudget {
 			b.Fatalf("exploration took %v, budget %v", d, dlxExploreBudget)
 		}
@@ -80,8 +82,8 @@ func BenchmarkEquivParallelDLX(b *testing.B) {
 	b.ReportMetric(float64(dlxStates), "markings")
 }
 
-// BenchmarkEquivScaling measures the two equiv kernels across worker
-// counts for the EXPERIMENTS.md scaling table: the DLX full-interleaving
+// BenchmarkEquivScaling measures the two equiv kernels across GOMAXPROCS
+// values for the EXPERIMENTS.md scaling table: the DLX full-interleaving
 // search bounded at 20k markings (the reduced search, at 4013 markings in
 // single-digit milliseconds, is too small to time) and the ARM
 // cross-validation trace fan-out.
@@ -102,10 +104,12 @@ func BenchmarkEquivScaling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, j := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(j)
 		b.Run(fmt.Sprintf("dlx-full-j%d", j), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := mustExplore(b, md, ExploreOptions{NoReduce: true, MaxStates: 20_000, Parallelism: j})
+				res := mustExplore(b, md, ExploreOptions{NoReduce: true, MaxStates: 20_000})
 				if !res.Truncated {
 					b.Fatalf("expected a bounded search, got %d markings", res.States)
 				}
@@ -113,7 +117,7 @@ func BenchmarkEquivScaling(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("arm-xval-j%d", j), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				x, err := ma.CrossValidate(context.Background(), arm.Desync.Top, XValConfig{Traces: 4, Seed: 7, Parallelism: j})
+				x, err := ma.CrossValidate(context.Background(), arm.Desync.Top, XValConfig{Traces: 4, Seed: 7})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -346,10 +346,6 @@ func (m *Model) refName(ref genRef) string {
 type ExploreOptions struct {
 	MaxStates int  // marking budget; 0 means DefaultMaxStates
 	NoReduce  bool // disable the partial-order reduction (full interleaving)
-	// Parallelism bounds the frontier workers; 0 means GOMAXPROCS. The
-	// result is byte-identical at any value — see Explore's determinism
-	// argument.
-	Parallelism int
 }
 
 // DefaultMaxStates is the marking budget when none is given.
@@ -397,7 +393,7 @@ func (m *Model) Explore(ctx context.Context, opts ExploreOptions) (*Result, erro
 	if max <= 0 {
 		max = DefaultMaxStates
 	}
-	workers := par.Workers(opts.Parallelism)
+	workers := par.Workers()
 	res := &Result{
 		Design: m.Design, Regions: len(m.Regions), Signals: len(m.sigs),
 		MaxStates: max, Reduced: !opts.NoReduce,
@@ -475,7 +471,7 @@ func (m *Model) Explore(ctx context.Context, opts ExploreOptions) (*Result, erro
 			}
 		} else {
 			slabs := par.Slabs(len(frontier), workers)
-			if err := par.ForEach(ctx, workers, len(slabs), func(ctx context.Context, si int) error {
+			if err := par.ForEach(ctx, len(slabs), func(ctx context.Context, si int) error {
 				for j := slabs[si][0]; j < slabs[si][1]; j++ {
 					process(j)
 				}

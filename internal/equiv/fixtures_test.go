@@ -151,7 +151,7 @@ func TestKnownBadFixtures(t *testing.T) {
 			confirm := fx.confirm
 			if confirm == nil {
 				confirm = func(t *testing.T, f *expt.DLXFlow, m *Model, tr *Trace) string {
-					rep, err := Replay(f.Desync.Top, m, tr, ReplayConfig{})
+					rep, err := Replay(f.Desync.Top, m, tr)
 					if err != nil {
 						t.Fatal(err)
 					}

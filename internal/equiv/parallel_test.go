@@ -23,30 +23,32 @@ func jsonOf(t *testing.T, res *Result) []byte {
 }
 
 // TestExploreParallelDeterministic is the determinism contract of the
-// parallel engine: the DLX exploration at -j 1, -j 4 and -j GOMAXPROCS
-// must visit exactly the same reduced state space (pinned at dlxStates)
-// and produce byte-identical JSON reports.
+// parallel engine: the DLX exploration at GOMAXPROCS 1, 4 and the host's
+// default must visit exactly the same reduced state space (pinned at
+// dlxStates) and produce byte-identical JSON reports.
 func TestExploreParallelDeterministic(t *testing.T) {
 	mod := dlxModule(t)
 	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := []int{1, 4, runtime.GOMAXPROCS(0)}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	procs := []int{1, 4, runtime.GOMAXPROCS(0)}
 	var base []byte
-	for _, j := range workers {
-		res := mustExplore(t, m, ExploreOptions{Parallelism: j})
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		res := mustExplore(t, m, ExploreOptions{})
 		if res.States != dlxStates {
-			t.Fatalf("-j %d: %d markings, pinned %d", j, res.States, dlxStates)
+			t.Fatalf("GOMAXPROCS %d: %d markings, pinned %d", p, res.States, dlxStates)
 		}
 		if !res.Clean() {
-			t.Fatalf("-j %d: not clean: %+v", j, res.Violation)
+			t.Fatalf("GOMAXPROCS %d: not clean: %+v", p, res.Violation)
 		}
 		got := jsonOf(t, res)
 		if base == nil {
 			base = got
 		} else if !bytes.Equal(got, base) {
-			t.Fatalf("-j %d report differs from -j %d:\n%s\n---\n%s", j, workers[0], got, base)
+			t.Fatalf("GOMAXPROCS %d report differs from GOMAXPROCS %d:\n%s\n---\n%s", p, procs[0], got, base)
 		}
 	}
 }
@@ -66,17 +68,19 @@ func TestExploreParallelCounterexampleIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := mustExplore(t, m, ExploreOptions{Parallelism: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial := mustExplore(t, m, ExploreOptions{})
 	if serial.Violation == nil {
 		t.Fatal("serial search missed the cut acknowledge")
 	}
-	for _, j := range []int{2, 4} {
-		par := mustExplore(t, m, ExploreOptions{Parallelism: j})
+	for _, p := range []int{2, 4} {
+		runtime.GOMAXPROCS(p)
+		par := mustExplore(t, m, ExploreOptions{})
 		if par.States != serial.States {
-			t.Fatalf("-j %d explored %d states, serial %d", j, par.States, serial.States)
+			t.Fatalf("GOMAXPROCS %d explored %d states, serial %d", p, par.States, serial.States)
 		}
 		if !reflect.DeepEqual(par.Violation, serial.Violation) {
-			t.Fatalf("-j %d counterexample differs:\n%+v\n---\n%+v", j, par.Violation, serial.Violation)
+			t.Fatalf("GOMAXPROCS %d counterexample differs:\n%+v\n---\n%+v", p, par.Violation, serial.Violation)
 		}
 	}
 }
@@ -90,11 +94,13 @@ func TestExploreNoReduceParallelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := mustExplore(t, m, ExploreOptions{NoReduce: true, MaxStates: 20_000, Parallelism: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial := mustExplore(t, m, ExploreOptions{NoReduce: true, MaxStates: 20_000})
 	if !serial.Truncated {
 		t.Fatalf("expected a truncated full search, got %d states", serial.States)
 	}
-	par := mustExplore(t, m, ExploreOptions{NoReduce: true, MaxStates: 20_000, Parallelism: 4})
+	runtime.GOMAXPROCS(4)
+	par := mustExplore(t, m, ExploreOptions{NoReduce: true, MaxStates: 20_000})
 	if !bytes.Equal(jsonOf(t, par), jsonOf(t, serial)) {
 		t.Fatal("-no-reduce -max-states report depends on the worker count")
 	}
@@ -110,7 +116,8 @@ func TestExploreCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := m.Explore(ctx, ExploreOptions{Parallelism: 4})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	res, err := m.Explore(ctx, ExploreOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -128,11 +135,13 @@ func TestCrossValidateParallelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := m.CrossValidate(context.Background(), mod, XValConfig{Traces: 3, Seed: 7, Parallelism: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial, err := m.CrossValidate(context.Background(), mod, XValConfig{Traces: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := m.CrossValidate(context.Background(), mod, XValConfig{Traces: 3, Seed: 7, Parallelism: 4})
+	runtime.GOMAXPROCS(4)
+	par, err := m.CrossValidate(context.Background(), mod, XValConfig{Traces: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +162,8 @@ func TestCrossValidateCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.CrossValidate(ctx, mod, XValConfig{Traces: 3, Seed: 7, Parallelism: 2}); !errors.Is(err, context.Canceled) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if _, err := m.CrossValidate(ctx, mod, XValConfig{Traces: 3, Seed: 7}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -9,12 +9,13 @@ import (
 	"desync/internal/sim"
 )
 
-// ReplayConfig tunes dynamic counterexample confirmation.
-type ReplayConfig struct {
-	Corner  netlist.Corner
-	Step    float64 // ns between forced trace events (default 1.5)
-	Horizon float64 // free-running watch window after release (default 40)
-}
+// A replay runs at the best corner, forces one trace event every
+// replayStep ns, and then watches the released network for replayHorizon
+// ns.
+const (
+	replayStep    = 1.5
+	replayHorizon = 40
+)
 
 // ReplayResult reports how a formal counterexample behaved when its
 // interleaving was imposed on the real gate-level simulation.
@@ -34,13 +35,7 @@ type ReplayResult struct {
 // confirmed when the released network trips a watchdog (deadlock, setup
 // violation, X capture) or its per-region capture schedules drift apart —
 // the dynamic shadows of a formally broken schedule.
-func Replay(mod *netlist.Module, m *Model, tr *Trace, cfg ReplayConfig) (*ReplayResult, error) {
-	if cfg.Step <= 0 {
-		cfg.Step = 1.5
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 40
-	}
+func Replay(mod *netlist.Module, m *Model, tr *Trace) (*ReplayResult, error) {
 	if len(tr.Events) == 0 {
 		return nil, fmt.Errorf("equiv: trace has no events to replay")
 	}
@@ -50,7 +45,7 @@ func Replay(mod *netlist.Module, m *Model, tr *Trace, cfg ReplayConfig) (*Replay
 		}
 	}
 
-	s, err := sim.New(mod, sim.Config{Corner: cfg.Corner})
+	s, err := sim.New(mod, sim.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -70,12 +65,12 @@ func Replay(mod *netlist.Module, m *Model, tr *Trace, cfg ReplayConfig) (*Replay
 		if e.Value {
 			v = logic.H
 		}
-		if err := s.Force(e.Net, v, t0+float64(k)*cfg.Step); err != nil {
+		if err := s.Force(e.Net, v, t0+float64(k)*replayStep); err != nil {
 			return nil, err
 		}
 		forced[e.Net] = true
 	}
-	end := t0 + float64(len(tr.Events))*cfg.Step
+	end := t0 + float64(len(tr.Events))*replayStep
 	for net := range forced {
 		if err := s.Release(net, end); err != nil {
 			return nil, err
@@ -109,13 +104,13 @@ func Replay(mod *netlist.Module, m *Model, tr *Trace, cfg ReplayConfig) (*Replay
 	}
 	if err := s.Watch(sim.WatchdogConfig{
 		HandshakeNets: roNets,
-		QuiescenceGap: cfg.Horizon / 2,
+		QuiescenceGap: replayHorizon / 2,
 		SetupGuard:    true,
 		XCaptureAfter: t0,
 	}); err != nil {
 		return nil, err
 	}
-	if err := s.Run(end + cfg.Horizon); err != nil {
+	if err := s.Run(end + replayHorizon); err != nil {
 		return nil, err
 	}
 
@@ -128,7 +123,7 @@ func Replay(mod *netlist.Module, m *Model, tr *Trace, cfg ReplayConfig) (*Replay
 	case RuleDeadlock:
 		res.Confirmed = post == 0 || hasDiag(s, sim.DiagDeadlock)
 		if res.Confirmed {
-			res.Detail = fmt.Sprintf("control network silent after replaying the prefix (%d enable transitions in %.0f ns)", post, cfg.Horizon)
+			res.Detail = fmt.Sprintf("control network silent after replaying the prefix (%d enable transitions in %.0f ns)", post, float64(replayHorizon))
 		} else {
 			res.Detail = fmt.Sprintf("control network still made %d enable transitions after release", post)
 		}

@@ -13,19 +13,18 @@ import (
 	"desync/internal/sim"
 )
 
-// XValConfig tunes the model-vs-simulation cross-validation.
+// XValConfig sizes the model-vs-simulation cross-validation.
 type XValConfig struct {
-	Traces  int     // randomized runs; 0 disables cross-validation
-	Seed    int64   // PRNG seed; trace k uses Seed+k; 0 means 0 (recorded)
-	Spread  float64 // control-gate delay jitter (default 0.35)
-	Horizon float64 // run length per trace in ns (default 60)
-	Corner  netlist.Corner
-	// Parallelism bounds the worker count for concurrent traces; 0 means
-	// GOMAXPROCS. The report is identical at any value: traces draw their
-	// delay jitter from per-trace seeds, never share simulator state, and
-	// the merge keeps the lowest-index divergence.
-	Parallelism int
+	Traces int   // randomized runs; 0 disables cross-validation
+	Seed   int64 // PRNG seed; trace k uses Seed+k; 0 means 0 (recorded)
 }
+
+// Every cross-validation trace runs at the best corner for xvalHorizon ns,
+// with each control gate's delay jittered by up to ±xvalSpread.
+const (
+	xvalSpread  = 0.35
+	xvalHorizon = 60
+)
 
 // XValResult reports the cross-validation outcome.
 type XValResult struct {
@@ -68,18 +67,13 @@ type obsEvent struct {
 // nets, and checks each observed trace is a firing sequence of the model
 // via subset construction over the invisible transitions.
 //
-// Traces run concurrently (cfg.Parallelism workers): each one snapshots its
-// own jittered delay factors into its simulator instead of mutating the
-// shared module, and the serial merge below keeps exactly what the old
-// one-trace-at-a-time loop reported — the lowest-index divergence or
-// failure, with Events counting only the traces before it.
+// Traces run concurrently: each one snapshots its own jittered delay
+// factors into its simulator instead of mutating the shared module, and the
+// serial merge below keeps exactly what the old one-trace-at-a-time loop
+// reported — the lowest-index divergence or failure, with Events counting
+// only the traces before it. The report is therefore identical at any
+// worker count.
 func (m *Model) CrossValidate(ctx context.Context, mod *netlist.Module, cfg XValConfig) (*XValResult, error) {
-	if cfg.Spread == 0 {
-		cfg.Spread = 0.35
-	}
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 60
-	}
 	res := &XValResult{Seed: cfg.Seed, Traces: cfg.Traces}
 	type traceResult struct {
 		events int
@@ -93,11 +87,11 @@ func (m *Model) CrossValidate(ctx context.Context, mod *netlist.Module, cfg XVal
 	// Per-trace errors travel inside the result (not as task errors), so
 	// the merge can replicate the serial loop's stop-at-first semantics;
 	// only cancellation aborts the fan-out itself.
-	results, err := par.Map(ctx, cfg.Parallelism, tasks, func(ctx context.Context, _ int, k int) (traceResult, error) {
+	results, err := par.Map(ctx, tasks, func(ctx context.Context, _ int, k int) (traceResult, error) {
 		if err := ctx.Err(); err != nil {
 			return traceResult{}, err
 		}
-		obs, err := m.simTrace(mod, cfg, cfg.Seed+int64(k))
+		obs, err := m.simTrace(mod, cfg.Seed+int64(k))
 		if err != nil {
 			return traceResult{err: err}, nil
 		}
@@ -125,12 +119,12 @@ func (m *Model) CrossValidate(ctx context.Context, mod *netlist.Module, cfg XVal
 
 // simTrace runs one randomized simulation and returns the observed visible
 // transitions after reset release.
-func (m *Model) simTrace(mod *netlist.Module, cfg XValConfig, seed int64) ([]obsEvent, error) {
-	factors := sim.DelayFactorMap(mod, seed, cfg.Spread, func(in *netlist.Inst) bool {
+func (m *Model) simTrace(mod *netlist.Module, seed int64) ([]obsEvent, error) {
+	factors := sim.DelayFactorMap(mod, seed, xvalSpread, func(in *netlist.Inst) bool {
 		return handshake.IsControlOrigin(in.Origin)
 	})
 
-	s, err := sim.New(mod, sim.Config{Corner: cfg.Corner, DelayFactors: factors})
+	s, err := sim.New(mod, sim.Config{DelayFactors: factors})
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +149,7 @@ func (m *Model) simTrace(mod *netlist.Module, cfg XValConfig, seed int64) ([]obs
 			return nil, err
 		}
 	}
-	if err := s.Run(cfg.Horizon); err != nil {
+	if err := s.Run(xvalHorizon); err != nil {
 		return nil, err
 	}
 	sort.SliceStable(obs, func(a, b int) bool { return obs[a].t < obs[b].t })

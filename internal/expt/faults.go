@@ -10,29 +10,32 @@ import (
 	"desync/internal/sim"
 )
 
-// FaultCampaignConfig sizes the DLX fault-injection campaign.
+// FaultCampaignConfig sizes the DLX fault-injection campaign. Every
+// campaign runs campaignCycles original clock periods and slows
+// campaignDelayPerRegion of the most active datapath gates per region by
+// campaignDelayFactor.
 type FaultCampaignConfig struct {
-	// Cycles sets the run length in original clock periods (default 12).
-	Cycles int
-	// DelayFactor slows each faulted gate by this multiple (default 40 —
-	// far past the 1.15 sizing margin, so the matched element demonstrably
-	// no longer covers the path).
-	DelayFactor float64
-	// DelayPerRegion picks this many of the most active datapath gates per
-	// region (default 2).
-	DelayPerRegion int
 	// Glitches adds the pulse faults (informative: glitches may escape).
 	Glitches bool
-	// Parallelism bounds the campaign's workers (one fault per task); 0
-	// means GOMAXPROCS. The report is identical at any value.
-	Parallelism int
 }
+
+const (
+	// campaignCycles is the campaign run length in original clock periods.
+	campaignCycles = 12
+	// campaignDelayFactor slows each faulted gate by this multiple, far
+	// past the 1.15 sizing margin, so the matched element demonstrably no
+	// longer covers the path.
+	campaignDelayFactor = 40
+	// campaignDelayPerRegion is how many of the most active datapath gates
+	// per region get a delay fault.
+	campaignDelayPerRegion = 2
+)
 
 // NewDLXCampaign arms a fault campaign on an already-desynchronized DLX:
 // the same reset sequencing as MeasureDDLX, a deadlock watchdog spanning a
 // few effective periods, and the latch setup guard.
-func NewDLXCampaign(ctx context.Context, f *DLXFlow, cycles, parallelism int) (*faults.Campaign, error) {
-	return NewCampaign(ctx, f.Desync.Top, f.Period, cycles, parallelism)
+func NewDLXCampaign(ctx context.Context, f *DLXFlow, cycles int) (*faults.Campaign, error) {
+	return NewCampaign(ctx, f.Desync.Top, f.Period, cycles)
 }
 
 // NewCampaign arms a fault campaign on any desynchronized top whose reset
@@ -40,9 +43,9 @@ func NewDLXCampaign(ctx context.Context, f *DLXFlow, cycles, parallelism int) (*
 // rst_desync, with delsel[2:0] tied low when present) — every generator
 // ParseSpec builds qualifies. The watchdog horizon and quiescence gap scale
 // with the design's original clock period.
-func NewCampaign(ctx context.Context, top *netlist.Module, period float64, cycles, parallelism int) (*faults.Campaign, error) {
+func NewCampaign(ctx context.Context, top *netlist.Module, period float64, cycles int) (*faults.Campaign, error) {
 	if cycles <= 0 {
-		cycles = 12
+		cycles = campaignCycles
 	}
 	stim := func(s *sim.Simulator) error {
 		if top.Port("delsel[0]") != nil {
@@ -61,8 +64,6 @@ func NewCampaign(ctx context.Context, top *netlist.Module, period float64, cycle
 		Stimulus:      stim,
 		Horizon:       2 + period*float64(cycles)*6,
 		QuiescenceGap: 8 * period,
-		SetupGuard:    true,
-		Parallelism:   parallelism,
 	})
 }
 
@@ -74,28 +75,19 @@ func NewCampaign(ctx context.Context, top *netlist.Module, period float64, cycle
 func RunDLXFaultCampaign(ctx context.Context, f *DLXFlow, cfg FaultCampaignConfig) (*faults.Report, error) {
 	if f == nil {
 		var err error
-		if f, err = RunDLXFlow(FlowConfig{Parallelism: cfg.Parallelism}); err != nil {
+		if f, err = RunDLXFlow(FlowConfig{}); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.Cycles <= 0 {
-		cfg.Cycles = 12
-	}
-	if cfg.DelayFactor == 0 {
-		cfg.DelayFactor = 40
-	}
-	if cfg.DelayPerRegion == 0 {
-		cfg.DelayPerRegion = 2
-	}
-	c, err := NewDLXCampaign(ctx, f, cfg.Cycles, cfg.Parallelism)
+	c, err := NewDLXCampaign(ctx, f, campaignCycles)
 	if err != nil {
 		return nil, err
 	}
-	list := c.DelayFaults(cfg.DelayFactor, cfg.DelayPerRegion)
+	list := c.DelayFaults(campaignDelayFactor, campaignDelayPerRegion)
 	list = append(list, c.ControlStuckFaults()...)
 	if cfg.Glitches {
 		// Pulses land mid-run, well past the boot transient.
-		mid := 2 + f.Period*float64(cfg.Cycles)*3
+		mid := 2 + f.Period*campaignCycles*3
 		list = append(list, c.GlitchFaults(mid, 0.3)...)
 	}
 	return c.Run(ctx, list)

@@ -29,7 +29,7 @@ type FIRFlow struct {
 // case circuits"): build, take the clock from STA, desynchronize, and
 // resolve the environment handshake ports the testbench discipline of
 // §4.8 drives.
-func RunFIRFlow(cfg FlowConfig) (*FIRFlow, error) {
+func RunFIRFlow() (*FIRFlow, error) {
 	lib := stdcells.New(stdcells.HighSpeed)
 	f := &FIRFlow{}
 	var err error
@@ -45,10 +45,7 @@ func RunFIRFlow(cfg FlowConfig) (*FIRFlow, error) {
 	if f.Desync, err = designs.BuildFIR(lib2); err != nil {
 		return nil, err
 	}
-	f.Result, err = core.Convert(context.Background(), f.Desync, core.Options{
-		Period:      f.Period,
-		Parallelism: cfg.Parallelism,
-	})
+	f.Result, err = core.Convert(context.Background(), f.Desync, core.Options{Period: f.Period})
 	if err != nil {
 		return nil, err
 	}

@@ -50,9 +50,6 @@ type FlowConfig struct {
 	// Mode selects a backend sub-strategy; core.ModeCompletion replaces
 	// delay elements with dual-rail completion networks (§2.4.4).
 	Mode core.Mode
-	// Parallelism bounds the flow's parallel kernels; 0 means GOMAXPROCS.
-	// The results are identical at any value.
-	Parallelism int
 }
 
 // RunDLXFlow implements the experimental procedure of Fig 5.1 for the DLX:
@@ -95,7 +92,6 @@ func RunDLXFlow(cfg FlowConfig) (*DLXFlow, error) {
 		Margin:       cfg.Margin,
 		MuxTaps:      cfg.MuxTaps,
 		ManualGroups: cfg.SingleRegion,
-		Parallelism:  cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err

@@ -48,7 +48,6 @@ func RunGenFlow(spec string, cfg FlowConfig) (*GenFlow, error) {
 		Margin:       cfg.Margin,
 		MuxTaps:      cfg.MuxTaps,
 		ManualGroups: designs.PreGrouped(spec),
-		Parallelism:  cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err

@@ -46,7 +46,7 @@ func ScalePipelineCfg(target int) designs.PipelineCfg {
 // Validate on the synchronous design, then the desynchronization flow
 // (per-stage from its progress boundaries) and a fresh control-network
 // derivation on the result.
-func ScalePipeline(ctx context.Context, target, parallelism int) (*ScaleRow, error) {
+func ScalePipeline(ctx context.Context, target int) (*ScaleRow, error) {
 	cfg := ScalePipelineCfg(target)
 	row := &ScaleRow{Target: target, Stages: map[string]time.Duration{}}
 
@@ -86,7 +86,6 @@ func ScalePipeline(ctx context.Context, target, parallelism int) (*ScaleRow, err
 	res, err := core.Convert(ctx, d, core.Options{
 		Period:       2.0,
 		ManualGroups: true,
-		Parallelism:  parallelism,
 		Progress: func(stage string) {
 			now := time.Now()
 			if lastStage != "" {
@@ -112,12 +111,12 @@ func ScalePipeline(ctx context.Context, target, parallelism int) (*ScaleRow, err
 
 // RenderScaleTable measures every target size and renders the table the
 // scaling experiment records in EXPERIMENTS.md.
-func RenderScaleTable(ctx context.Context, w io.Writer, targets []int, parallelism int) error {
+func RenderScaleTable(ctx context.Context, w io.Writer, targets []int) error {
 	fmt.Fprintf(w, "%10s %10s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
 		"insts", "nets", "build", "export", "import", "hash", "validate",
 		"ffsub", "size", "insert", "derive", "flow")
 	for _, target := range targets {
-		row, err := ScalePipeline(ctx, target, parallelism)
+		row, err := ScalePipeline(ctx, target)
 		if err != nil {
 			return fmt.Errorf("scale %d: %w", target, err)
 		}

@@ -15,7 +15,7 @@ import (
 // every stage actually ran. The 100k wall-clock guard lives in `make scale`;
 // this keeps the row's plumbing covered by the ordinary test suite.
 func TestScalePipelineSmoke(t *testing.T) {
-	row, err := ScalePipeline(context.Background(), 5000, 1)
+	row, err := ScalePipeline(context.Background(), 5000)
 	if err != nil {
 		t.Fatal(err)
 	}

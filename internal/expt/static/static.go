@@ -155,9 +155,6 @@ type Options struct {
 	FIRSamples int
 	// SkipARM drops the ARM row (its flow build dominates wall-clock).
 	SkipARM bool
-	// Parallelism threads through to the flows; timing runs are always
-	// effectively serial (both engines finish in one scheduling quantum).
-	Parallelism int
 }
 
 // Run executes the full cross-check: DLX, ARM and FIR flows, a simulator
@@ -180,7 +177,7 @@ func Run(opts Options) (*Table, error) {
 	t := &Table{}
 
 	// DLX: full flow, measured period, plus the unreduced baseline.
-	dlx, err := expt.RunDLXFlow(expt.FlowConfig{Parallelism: opts.Parallelism})
+	dlx, err := expt.RunDLXFlow(expt.FlowConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -194,10 +191,7 @@ func Run(opts Options) (*Table, error) {
 	}
 	t.Rows = append(t.Rows, r)
 	t0 := time.Now()
-	full, err := m.Explore(context.Background(), equiv.ExploreOptions{
-		NoReduce:    true,
-		Parallelism: opts.Parallelism,
-	})
+	full, err := m.Explore(context.Background(), equiv.ExploreOptions{NoReduce: true})
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +217,7 @@ func Run(opts Options) (*Table, error) {
 	}
 
 	// FIR: boundary-handshake case study with a streaming testbench.
-	fir, err := expt.RunFIRFlow(expt.FlowConfig{Parallelism: opts.Parallelism})
+	fir, err := expt.RunFIRFlow()
 	if err != nil {
 		return nil, err
 	}

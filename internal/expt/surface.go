@@ -26,17 +26,14 @@ type SurfaceConfig struct {
 	// (default 6 — shorter than the campaign's 12: the sweep trades
 	// per-scenario depth for cross-product breadth).
 	Cycles int
-	// DelayFactor / DelayPerRegion / Glitches select the fault matrix, as
-	// in FaultCampaignConfig (defaults 40 / 2 / off).
+	// DelayFactor / DelayPerRegion / Glitches select the fault matrix
+	// (defaults 40 / 2 / off, as in the DLX fault campaign).
 	DelayFactor    float64
 	DelayPerRegion int
 	Glitches       bool
-	// Seed roots the chip draws and per-scenario jitter; every scenario
-	// reproduces standalone from (Seed, index).
+	// Seed roots the Monte Carlo chip draws; every scenario reproduces
+	// standalone from (Seed, index).
 	Seed int64
-	// Parallelism bounds the sweep workers; the report is identical at any
-	// value.
-	Parallelism int
 	// Checkpoint/Resume/FsyncEvery, ScenarioTimeout and MaxFailures pass
 	// through to sweep.Config.
 	Checkpoint      string
@@ -57,7 +54,7 @@ type SurfaceConfig struct {
 func DLXRobustnessSurface(ctx context.Context, f *DLXFlow, cfg SurfaceConfig) (*sweep.Report, error) {
 	if f == nil {
 		var err error
-		if f, err = RunDLXFlow(FlowConfig{Parallelism: cfg.Parallelism}); err != nil {
+		if f, err = RunDLXFlow(FlowConfig{}); err != nil {
 			return nil, err
 		}
 	}
@@ -81,12 +78,12 @@ func RobustnessSurface(ctx context.Context, top *netlist.Module, period float64,
 		cfg.Cycles = 6
 	}
 	if cfg.DelayFactor == 0 {
-		cfg.DelayFactor = 40
+		cfg.DelayFactor = campaignDelayFactor
 	}
 	if cfg.DelayPerRegion == 0 {
-		cfg.DelayPerRegion = 2
+		cfg.DelayPerRegion = campaignDelayPerRegion
 	}
-	c, err := NewCampaign(ctx, top, period, cfg.Cycles, cfg.Parallelism)
+	c, err := NewCampaign(ctx, top, period, cfg.Cycles)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +104,6 @@ func RobustnessSurface(ctx context.Context, top *netlist.Module, period float64,
 			Faults:  list,
 		},
 		Seed:            cfg.Seed,
-		Parallelism:     cfg.Parallelism,
 		ScenarioTimeout: cfg.ScenarioTimeout,
 		MaxFailures:     cfg.MaxFailures,
 		Checkpoint:      cfg.Checkpoint,

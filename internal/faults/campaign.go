@@ -14,9 +14,6 @@ import (
 
 // Config sets up a campaign against one desynchronized module.
 type Config struct {
-	// Corner and Scale select the simulation point (as sim.Config).
-	Corner netlist.Corner
-	Scale  float64
 	// Stimulus drives the primary inputs of a fresh simulator (reset
 	// sequencing, tap selection). It runs before any fault is applied.
 	Stimulus func(s *sim.Simulator) error
@@ -25,38 +22,24 @@ type Config struct {
 	// QuiescenceGap arms the deadlock watchdog: the handshake nets must not
 	// stop cycling more than this long (ns) before the horizon.
 	QuiescenceGap float64
-	// SetupGuard arms the latch setup monitor.
-	SetupGuard bool
-	// LivenessFraction classifies a register as stalled when it captures
-	// fewer than this fraction of the unfaulted run's captures; 0 means 0.5.
-	LivenessFraction float64
-	// MaxEventsFactor bounds faulted runs at this multiple of the unfaulted
-	// run's event count (oscillating faults abort instead of spinning);
-	// 0 means 4.
-	MaxEventsFactor float64
-	// Parallelism bounds the worker count when Run fans the faults out;
-	// 0 means GOMAXPROCS. The report is identical at any value: every
-	// fault gets its own simulator (delay faults ride a per-sim factor
-	// snapshot, never instance state), classification is pure, and the
-	// outcomes merge in fault order.
-	Parallelism int
-	// Seed roots the campaign's randomization. Each faulted run mixes its
-	// fault index into it (DeriveSeed), so runs draw independent streams and
-	// any single fault reproduces standalone from (Seed, index); 0 is a
-	// valid root (recorded as such).
-	Seed int64
-	// Jitter, when positive, perturbs every non-faulted instance's delay by
-	// a uniform factor in [1-Jitter, 1+Jitter] per faulted run (seeded as
-	// above): the campaign then also samples whether detection survives
-	// benign delay variation instead of only the nominal interleaving.
-	// 0 disables.
-	Jitter float64
 }
 
-// eventBudgetHeadroom pads the faulted runs' event budget above the
-// golden-run multiple, so short golden runs still leave room for a fault's
-// extra switching before the oscillation guard trips.
-const eventBudgetHeadroom = 100_000
+// Every run, golden and faulted, simulates at campaignCorner with every
+// watchdog armed, the latch setup monitor included; only a scenario's
+// Scale moves the operating point.
+const (
+	campaignCorner = netlist.Best
+	// livenessFraction classifies a register as stalled when it captures
+	// fewer than this fraction of the unfaulted run's captures.
+	livenessFraction = 0.5
+	// maxEventsFactor bounds faulted runs at this multiple of the unfaulted
+	// run's event count (oscillating faults abort instead of spinning).
+	maxEventsFactor = 4
+	// eventBudgetHeadroom pads the faulted runs' event budget above the
+	// golden-run multiple, so short golden runs still leave room for a
+	// fault's extra switching before the oscillation guard trips.
+	eventBudgetHeadroom = 100_000
+)
 
 // Campaign holds the design under test and the golden (unfaulted) reference
 // run every faulted run is classified against.
@@ -95,12 +78,6 @@ func NewCampaign(ctx context.Context, m *netlist.Module, cfg Config) (*Campaign,
 	}
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("faults: config needs a positive Horizon")
-	}
-	if cfg.LivenessFraction == 0 {
-		cfg.LivenessFraction = 0.5
-	}
-	if cfg.MaxEventsFactor == 0 {
-		cfg.MaxEventsFactor = 4
 	}
 	c := &Campaign{M: m, cfg: cfg, cn: ctrlnet.Derive(m)}
 
@@ -173,16 +150,12 @@ func (c *Campaign) newSim(maxEvents int64, xAfter float64, factors map[string]fl
 }
 
 // newScenarioSim is newSim at an arbitrary operating point: the global
-// scale multiplies the campaign corner's scale (and the quiescence gap, so
-// the deadlock verdict tracks the stretched time axis), and interrupt is
-// polled inside Run for deadlines and cancellation.
+// scale stretches every delay (and the quiescence gap, so the deadlock
+// verdict tracks the stretched time axis), and interrupt is polled inside
+// Run for deadlines and cancellation.
 func (c *Campaign) newScenarioSim(maxEvents int64, xAfter float64, factors map[string]float64, scale float64, interrupt func() error) (*sim.Simulator, error) {
-	base := c.cfg.Scale
-	if base == 0 {
-		base = 1
-	}
 	s, err := sim.New(c.M, sim.Config{
-		Corner: c.cfg.Corner, Scale: base * scale, MaxEvents: maxEvents,
+		Corner: campaignCorner, Scale: scale, MaxEvents: maxEvents,
 		DelayFactors: factors, Interrupt: interrupt,
 	})
 	if err != nil {
@@ -191,7 +164,7 @@ func (c *Campaign) newScenarioSim(maxEvents int64, xAfter float64, factors map[s
 	if err := s.Watch(sim.WatchdogConfig{
 		HandshakeNets: c.handshake,
 		QuiescenceGap: c.cfg.QuiescenceGap * scale,
-		SetupGuard:    c.cfg.SetupGuard,
+		SetupGuard:    true,
 		XCaptureAfter: xAfter,
 	}); err != nil {
 		return nil, err
@@ -231,7 +204,7 @@ func (c *Campaign) classify(out *Outcome, s *sim.Simulator, runErr error) {
 		if want < 2 {
 			continue
 		}
-		if got := len(s.Captures[name]); float64(got) < c.cfg.LivenessFraction*float64(want) {
+		if got := len(s.Captures[name]); float64(got) < livenessFraction*float64(want) {
 			out.Detected, out.By = true, ByLiveness
 			out.Detail = fmt.Sprintf("%s captured %d of %d golden values", name, got, want)
 			return
@@ -250,15 +223,15 @@ func (c *Campaign) classify(out *Outcome, s *sim.Simulator, runErr error) {
 	out.By = NotDetected
 }
 
-// Run injects every fault — fanned out over cfg.Parallelism workers, one
-// simulator per fault — and aggregates the outcomes in fault order, so the
-// report is byte-identical at any worker count. The first failing fault
-// (lowest index) aborts the campaign, as the serial loop did. Each run's
-// randomization (Config.Jitter) mixes the fault's index into Config.Seed,
-// so the streams are independent and each reproduces standalone.
+// Run injects every fault — fanned out over the par workers, one simulator
+// per fault — and aggregates the outcomes in fault order. The report is
+// byte-identical at any worker count: every fault gets its own simulator
+// (delay faults ride a per-sim factor snapshot, never instance state),
+// classification is pure, and the outcomes merge in fault order. The first
+// failing fault (lowest index) aborts the campaign, as the serial loop did.
 func (c *Campaign) Run(ctx context.Context, faults []Fault) (*Report, error) {
-	outs, err := par.Map(ctx, c.cfg.Parallelism, faults, func(ctx context.Context, i int, f Fault) (Outcome, error) {
-		o, err := c.RunScenario(ctx, Scenario{Fault: f, Index: int64(i)})
+	outs, err := par.Map(ctx, faults, func(ctx context.Context, i int, f Fault) (Outcome, error) {
+		o, err := c.RunScenario(ctx, Scenario{Fault: f})
 		if err != nil {
 			return o, fmt.Errorf("faults: %s: %w", f, err)
 		}
@@ -315,10 +288,10 @@ func (c *Campaign) DelayFaults(factor float64, perRegion int) []Fault {
 	worstArc := func(cell *netlist.CellDef) float64 {
 		d := 0.0
 		for _, a := range cell.Arcs {
-			if r := a.Rise.At(c.cfg.Corner); r > d {
+			if r := a.Rise.At(campaignCorner); r > d {
 				d = r
 			}
-			if fa := a.Fall.At(c.cfg.Corner); fa > d {
+			if fa := a.Fall.At(campaignCorner); fa > d {
 				d = fa
 			}
 		}

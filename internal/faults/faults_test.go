@@ -29,7 +29,7 @@ func dlxCampaign(t *testing.T) *faults.Campaign {
 		if buildErr != nil {
 			return
 		}
-		campaign, buildErr = expt.NewDLXCampaign(context.Background(), flow, 10, 0)
+		campaign, buildErr = expt.NewDLXCampaign(context.Background(), flow, 10)
 	})
 	if buildErr != nil {
 		t.Fatalf("building DLX campaign: %v", buildErr)

@@ -4,33 +4,28 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"desync/internal/expt"
 )
 
 // TestCampaignParallelDeterministic is the campaign half of the parallel
-// determinism contract: the same fault list run at -j 1 and -j 4 must
+// determinism contract: the same fault list run at GOMAXPROCS 1 and 4 must
 // produce byte-identical JSON reports — every outcome classified the same
 // way, in fault-list order, regardless of which worker simulated it.
 func TestCampaignParallelDeterministic(t *testing.T) {
-	dlxCampaign(t) // builds the shared flow
-	c1, err := expt.NewDLXCampaign(context.Background(), flow, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c4, err := expt.NewDLXCampaign(context.Background(), flow, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	list := c1.DelayFaults(40, 1)
-	list = append(list, c1.ControlStuckFaults()[:6]...)
+	c := dlxCampaign(t)
+	list := c.DelayFaults(40, 1)
+	list = append(list, c.ControlStuckFaults()[:6]...)
 
-	rep1, err := c1.Run(context.Background(), list)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rep1, err := c.Run(context.Background(), list)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep4, err := c4.Run(context.Background(), list)
+	runtime.GOMAXPROCS(4)
+	rep4, err := c.Run(context.Background(), list)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +37,7 @@ func TestCampaignParallelDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf1.Bytes(), buf4.Bytes()) {
-		t.Fatalf("campaign report depends on the worker count:\n-j 1:\n%s\n-j 4:\n%s",
+		t.Fatalf("campaign report depends on the worker count:\nGOMAXPROCS 1:\n%s\nGOMAXPROCS 4:\n%s",
 			buf1.String(), buf4.String())
 	}
 	if len(rep1.Outcomes) != len(list) {
@@ -57,7 +52,7 @@ func TestCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := expt.NewDLXCampaign(ctx, flow, 10, 2); !errors.Is(err, context.Canceled) {
+	if _, err := expt.NewDLXCampaign(ctx, flow, 10); !errors.Is(err, context.Canceled) {
 		t.Fatalf("NewDLXCampaign err = %v, want context.Canceled", err)
 	}
 	list := c.DelayFaults(40, 1)

@@ -1,9 +1,9 @@
 package faults
 
 // Scenario runs: one campaign fault evaluated at an arbitrary operating
-// point (inter-die corner position, per-instance intra-die factors, delay
-// jitter), against the same nominal golden reference. Flow equivalence is
-// what makes that sound: a correct desynchronized design produces the same
+// point (inter-die corner position, per-instance intra-die factors),
+// against the same nominal golden reference. Flow equivalence is what
+// makes that sound: a correct desynchronized design produces the same
 // *sequence* of captured values under any delay assignment (§2.1), so the
 // capture-prefix comparison stays valid when the operating point moves —
 // only the time axis stretches, and every time-valued knob of the run
@@ -17,12 +17,12 @@ import (
 	"desync/internal/sim"
 )
 
-// DeriveSeed mixes a scenario or fault index into a root seed via the
-// SplitMix64 finalizer, so every index gets a statistically independent
-// stream and any single scenario is reproducible standalone from
+// DeriveSeed mixes an index (a sweep's Monte Carlo chip) into a root seed
+// via the SplitMix64 finalizer, so every index gets a statistically
+// independent stream and any single draw is reproducible standalone from
 // (root seed, index) — no sweep state, no injection order. Mixing the index
-// matters: feeding the root seed alone into every fault's randomization
-// would give all of them the same stimulus stream.
+// matters: feeding the root seed alone into every draw would give all of
+// them the same stream.
 func DeriveSeed(root, index int64) int64 {
 	z := uint64(root) + 0x9E3779B97F4A7C15*uint64(index+1)
 	z ^= z >> 30
@@ -36,10 +36,6 @@ func DeriveSeed(root, index int64) int64 {
 // Scenario is one (operating point, fault) cell of a sweep.
 type Scenario struct {
 	Fault Fault
-	// Index identifies the scenario inside its sweep; it is mixed into the
-	// campaign seed (DeriveSeed) for this run's delay jitter, so a failed
-	// scenario replays from (Config.Seed, Index) alone.
-	Index int64
 	// Scale is the inter-die position: a global delay multiplier applied on
 	// top of the campaign's nominal corner (1 or 0 = nominal). The horizon,
 	// quiescence gap, X-guard threshold and glitch times scale with it.
@@ -71,24 +67,11 @@ func (c *Campaign) RunScenario(ctx context.Context, sc Scenario) (Outcome, error
 		scale = 1
 	}
 
-	// Per-instance factors: chip draw first, then jitter, then the delay
-	// fault compounding into whatever base its instance already carries.
+	// Per-instance factors: chip draw first, then the delay fault
+	// compounding into whatever base its instance already carries.
 	factors := make(map[string]float64, len(sc.DelayFactors)+1)
 	for name, f := range sc.DelayFactors {
 		factors[name] = f
-	}
-	if c.cfg.Jitter > 0 {
-		jit := sim.DelayFactorMap(c.M, DeriveSeed(c.cfg.Seed, sc.Index), c.cfg.Jitter, nil)
-		for name, j := range jit {
-			if base, ok := factors[name]; ok {
-				// DelayFactorMap folded the instance's nominal factor into
-				// j; divide it back out so the chip draw composes with the
-				// pure jitter term instead of double-counting the nominal.
-				factors[name] = base * j / instNominal(c, name)
-			} else {
-				factors[name] = j
-			}
-		}
 	}
 	f := sc.Fault
 	if f.Class == ClassDelay {
@@ -109,7 +92,7 @@ func (c *Campaign) RunScenario(ctx context.Context, sc Scenario) (Outcome, error
 		factors = nil
 	}
 
-	budget := int64(float64(c.goldenEvents)*c.cfg.MaxEventsFactor) + eventBudgetHeadroom
+	budget := int64(float64(c.goldenEvents)*maxEventsFactor) + eventBudgetHeadroom
 	s, err := c.newScenarioSim(budget, c.lastGoldenX*scale, factors, scale, sc.Interrupt)
 	if err != nil {
 		return out, err
@@ -145,15 +128,6 @@ func (c *Campaign) RunScenario(ctx context.Context, sc Scenario) (Outcome, error
 	out.Period = scenarioPeriod(s, scale)
 	c.classify(&out, s, runErr)
 	return out, nil
-}
-
-// instNominal is the module's baked-in per-instance factor (1 when unset),
-// the base DelayFactorMap already multiplied into its jitter draw.
-func instNominal(c *Campaign, name string) float64 {
-	if in := c.M.Inst(name); in != nil && in.DelayFactor != 0 {
-		return in.DelayFactor
-	}
-	return 1
 }
 
 // scenarioPeriod estimates the run's effective handshake period from its

@@ -10,9 +10,9 @@ import (
 	"desync/internal/sim"
 )
 
-// TestDeriveSeedMixesIndex: per-fault randomization must not collapse onto
+// TestDeriveSeedMixesIndex: per-chip randomization must not collapse onto
 // the root seed — every index has to open an independent stream, or every
-// fault in a campaign samples the same jittered delays.
+// chip in a sweep samples the same delay factors.
 func TestDeriveSeedMixesIndex(t *testing.T) {
 	seen := map[int64]int64{}
 	for i := int64(0); i < 64; i++ {
@@ -51,7 +51,7 @@ func TestScenarioAtCorner(t *testing.T) {
 	}
 	chip := sim.DelayFactorMap(c.M, faults.DeriveSeed(11, 0), 0.09, nil)
 	out, err := c.RunScenario(context.Background(), faults.Scenario{
-		Fault: list[0], Index: 7, Scale: 2.5, DelayFactors: chip,
+		Fault: list[0], Scale: 2.5, DelayFactors: chip,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestScenarioAtCorner(t *testing.T) {
 	}
 }
 
-// TestScenarioReproducible: the same (seed, index, operating point) must
+// TestScenarioReproducible: the same fault at the same operating point must
 // produce a byte-identical outcome — this is what lets a sweep replay any
 // failed scenario standalone.
 func TestScenarioReproducible(t *testing.T) {
@@ -70,7 +70,7 @@ func TestScenarioReproducible(t *testing.T) {
 	if len(list) == 0 {
 		t.Fatal("no delay faults enumerated")
 	}
-	sc := faults.Scenario{Fault: list[0], Index: 3, Scale: 1.4}
+	sc := faults.Scenario{Fault: list[0], Scale: 1.4}
 	run := func() []byte {
 		out, err := c.RunScenario(context.Background(), sc)
 		if err != nil {

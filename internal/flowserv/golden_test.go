@@ -63,7 +63,7 @@ func goldenDigests(t *testing.T, gen string, opts FlowOptions, names []string) m
 		t.Fatal(err)
 	}
 	j := newJob("golden", &req, key, d)
-	arts, err := runFlow(context.Background(), j, 1)
+	arts, err := runFlow(context.Background(), j)
 	if err != nil {
 		t.Fatalf("flow: %v", err)
 	}

@@ -56,10 +56,6 @@ type FlowOptions struct {
 	FaultCycles int `json:"faultCycles,omitempty"`
 	// FaultsPerRegion is the delay faults injected per region; 0 means 2.
 	FaultsPerRegion int `json:"faultsPerRegion,omitempty"`
-	// Parallelism asks for a per-job worker bound for the parallel kernels.
-	// The server clamps it to its own per-job budget. NOT part of the cache
-	// key: every kernel's output is identical at any worker count.
-	Parallelism int `json:"j,omitempty"`
 }
 
 // JobRequest is the body of POST /jobs: exactly one of Gen (a built-in
@@ -91,16 +87,15 @@ func (o FlowOptions) coreOptions() core.Options {
 		MuxTaps:      o.MuxTaps,
 		ManualGroups: o.ManualGroups,
 		SkipClean:    o.SkipClean,
-		Parallelism:  o.Parallelism,
 	}
 }
 
 // Canonicalize returns the options with every documented default applied
-// and the parallelism request removed — the form that is hashed into the
-// cache key, so that {} and {"margin":1.15} address the same entry. The
-// flow knobs defer to core.Options.Canonicalize — defaulting is defined
-// once, there — so the server can never hash a different canonical form
-// than the flow runs; an error names an unknown backend or mode.
+// — the form that is hashed into the cache key, so that {} and
+// {"margin":1.15} address the same entry. The flow knobs defer to
+// core.Options.Canonicalize — defaulting is defined once, there — so the
+// server can never hash a different canonical form than the flow runs; an
+// error names an unknown backend or mode.
 func (o FlowOptions) Canonicalize() (FlowOptions, error) {
 	co, err := o.coreOptions().Canonicalize()
 	if err != nil {
@@ -134,7 +129,6 @@ func (o FlowOptions) Canonicalize() (FlowOptions, error) {
 	if !c.Equiv {
 		c.EquivMaxStates = 0
 	}
-	c.Parallelism = 0
 	return c, nil
 }
 

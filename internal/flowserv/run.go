@@ -58,13 +58,13 @@ type Summary struct {
 // builder guard, an internal invariant breach) fails that job, never the
 // server. The boundary mirrors internal/sweep's runQuarantined and is
 // audited in cmd/repolint's recover allowlist.
-func runGuarded(ctx context.Context, j *job, jobParallelism int) (arts map[string][]byte, err error) {
+func runGuarded(ctx context.Context, j *job) (arts map[string][]byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("flow panic (quarantined): %v", r)
 		}
 	}()
-	return runFlow(ctx, j, jobParallelism)
+	return runFlow(ctx, j)
 }
 
 // testStageHook, when non-nil, is invoked on every stage transition after
@@ -77,7 +77,7 @@ var testStageHook func(ctx context.Context, stage string)
 // same gates and fallbacks as drdesync — streaming each stage, gate verdict
 // and fallback as an event. It returns the artifacts produced so far even
 // on failure, so a tripped gate stays diagnosable over HTTP.
-func runFlow(ctx context.Context, j *job, jobParallelism int) (map[string][]byte, error) {
+func runFlow(ctx context.Context, j *job) (map[string][]byte, error) {
 	arts := map[string][]byte{}
 	// Submit-time validation already canonicalized once; a failure here
 	// would mean the request mutated in flight.
@@ -85,13 +85,10 @@ func runFlow(ctx context.Context, j *job, jobParallelism int) (map[string][]byte
 	if err != nil {
 		return arts, fmt.Errorf("options: %w", err)
 	}
-	canonical := opts
-	opts.Parallelism = jobParallelism
 
 	period := opts.Period
 	if period == 0 {
-		period, err = sta.ClockPeriod(ctx, j.design.Top, netlist.Worst,
-			sta.Options{Parallelism: opts.Parallelism}, 1.05)
+		period, err = sta.ClockPeriod(ctx, j.design.Top, netlist.Worst, sta.Options{}, 1.05)
 		if err != nil {
 			return arts, fmt.Errorf("deriving a period from STA: %w (pass options.period)", err)
 		}
@@ -152,7 +149,7 @@ func runFlow(ctx context.Context, j *job, jobParallelism int) (map[string][]byte
 	arts[ArtifactConstraints] = []byte(res.Constraints.Write())
 	sum := Summary{
 		Design: d.Top.Name, Gen: j.req.Gen, Lib: j.req.Lib,
-		CacheKey: j.key, Options: canonical,
+		CacheKey: j.key, Options: opts,
 		Period: period, Regions: res.Grouping.Groups,
 		Cleaned: res.CleanedCells, FFs: res.Substitution.FFs,
 		UnderMargin: res.UnderMargin, LintErrors: out.Lint.Errors(),

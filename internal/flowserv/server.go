@@ -6,12 +6,13 @@
 //
 // The server is built from the repo's existing layers rather than beside
 // them: jobs execute core.Convert under the request's backend with the
-// same gate discipline as cmd/drdesync, a bounded queue with per-job
-// worker budgets layers on internal/par, and a content-addressed LRU
-// cache keyed on the canonical netlist hash plus canonicalized options
-// serves byte-identical artifacts for repeated submissions — the
-// cross-request analogue of ctrlnet's ModSeq memoization, sound because
-// every kernel in the repo produces identical output at any parallelism.
+// same gate discipline as cmd/drdesync, a bounded queue feeds a fixed set
+// of job workers whose kernels share internal/par's pool size, and a
+// content-addressed LRU cache keyed on the canonical netlist hash plus
+// canonicalized options serves byte-identical artifacts for repeated
+// submissions — the cross-request analogue of ctrlnet's ModSeq
+// memoization, sound because every kernel in the repo produces identical
+// output at any worker count.
 // Identical submissions racing in before a result exists are deduplicated
 // at admission: the duplicate attaches to the in-flight leader and copies
 // its terminal outcome instead of running the flow again.
@@ -27,8 +28,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"desync/internal/par"
 )
 
 // Config sizes the server. The zero value of every field selects a
@@ -39,10 +38,6 @@ type Config struct {
 	QueueDepth int
 	// Workers is the number of jobs run concurrently. 0 means 2.
 	Workers int
-	// JobParallelism is the per-job worker budget handed to the flow's
-	// parallel kernels; a request's options.j is clamped to it. 0 means
-	// GOMAXPROCS (via par.Workers).
-	JobParallelism int
 	// CacheEntries bounds the content-addressed result cache. 0 means 64.
 	CacheEntries int
 	// MaxUploadBytes bounds a POST /jobs body. 0 means 4 MiB.
@@ -59,7 +54,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	c.JobParallelism = par.Workers(c.JobParallelism)
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 64
 	}
@@ -220,7 +214,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	if !j.start(cancel) {
 		return // canceled while queued
 	}
-	arts, err := runGuarded(jctx, j, s.jobBudget(j.req))
+	arts, err := runGuarded(jctx, j)
 	switch {
 	case err == nil:
 		s.results.put(&entry{key: j.key, artifacts: arts})
@@ -243,15 +237,6 @@ func (s *Server) clearInflight(j *job) {
 		delete(s.inflight, j.key)
 	}
 	s.mu.Unlock()
-}
-
-// jobBudget clamps a request's parallelism ask to the server's per-job
-// budget; 0 or over-budget requests get the full budget.
-func (s *Server) jobBudget(req *JobRequest) int {
-	if w := req.Options.Parallelism; w > 0 && w < s.cfg.JobParallelism {
-		return w
-	}
-	return s.cfg.JobParallelism
 }
 
 func (s *Server) jobByID(id string) *job {

@@ -72,7 +72,7 @@ func TestDelayFaultsFlaggedStatically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := expt.NewDLXCampaign(context.Background(), f, 0, 0)
+	c, err := expt.NewDLXCampaign(context.Background(), f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

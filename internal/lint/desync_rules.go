@@ -400,7 +400,7 @@ func (c *dsChecker) checkTiming(opts Options) {
 
 	// DS-MARGIN times the same graph: the matched elements are checked
 	// against the budgets of the loop-broken network.
-	rds, err := g.Analyze().RegionDelays(context.Background(), opts.Parallelism)
+	rds, err := g.Analyze().RegionDelays(context.Background())
 	if err != nil {
 		c.r.addf(RuleMargin, Error, m.Name, "", "",
 			fmt.Sprintf("region delay analysis failed: %v", err))

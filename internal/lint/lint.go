@@ -212,9 +212,6 @@ type Options struct {
 	// a different module — the DS-* rules derive their own via
 	// ctrlnet.Derive, which is itself memoized.
 	Network *ctrlnet.Network
-	// Parallelism bounds the workers of the timing cross-checks' region
-	// extraction; 0 means GOMAXPROCS. Findings are identical at any value.
-	Parallelism int
 }
 
 // Check runs the selected rule families over one flat module and returns

@@ -76,7 +76,7 @@ func TestStaticMatchesBFSARM(t *testing.T) {
 }
 
 func TestStaticMatchesBFSFIR(t *testing.T) {
-	f, err := expt.RunFIRFlow(expt.FlowConfig{})
+	f, err := expt.RunFIRFlow()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 )
 
-// Fold runs compute(ctx, i) for i in [start, n) on at most workers
+// Fold runs compute(ctx, i) for i in [start, n) on at most Workers()
 // goroutines and folds every result exactly once, strictly in index order,
 // on the caller's goroutine. It is the streaming counterpart of Map: the
 // per-task results never accumulate into a slice, so a sweep over 10^6
@@ -29,14 +29,14 @@ import (
 // lowest-index compute error that is not a cancellation echo. Because the
 // fold is strictly ordered, a fold error always precedes (in index order)
 // any concurrent compute error, so it wins.
-func Fold[R any](ctx context.Context, workers, start, n int, compute func(ctx context.Context, i int) (R, error), fold func(i int, r R) error) error {
+func Fold[R any](ctx context.Context, start, n int, compute func(ctx context.Context, i int) (R, error), fold func(i int, r R) error) error {
 	if start < 0 {
 		start = 0
 	}
 	if n <= start {
 		return ctx.Err()
 	}
-	workers = Workers(workers)
+	workers := Workers()
 	if workers > n-start {
 		workers = n - start
 	}

@@ -12,10 +12,12 @@ import (
 // streaming aggregates are built on.
 func TestFoldOrdered(t *testing.T) {
 	const n = 500
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2, 3, 8, 32} {
+		runtime.GOMAXPROCS(workers)
 		want := 0
 		sum := 0
-		err := Fold(context.Background(), workers, 0, n,
+		err := Fold(context.Background(), 0, n,
 			func(_ context.Context, i int) (int, error) {
 				runtime.Gosched() // shake completion order
 				return 3 * i, nil
@@ -43,9 +45,11 @@ func TestFoldOrdered(t *testing.T) {
 // TestFoldStart: resume semantics — folding [start, n) touches exactly the
 // tail, so a journal replay can hand the engine its first unwritten index.
 func TestFoldStart(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 4} {
+		runtime.GOMAXPROCS(workers)
 		want := 100
-		err := Fold(context.Background(), workers, 100, 150,
+		err := Fold(context.Background(), 100, 150,
 			func(_ context.Context, i int) (int, error) { return i, nil },
 			func(i, r int) error {
 				if i != want {
@@ -62,7 +66,7 @@ func TestFoldStart(t *testing.T) {
 
 // TestFoldEmpty: an already-complete range folds nothing and succeeds.
 func TestFoldEmpty(t *testing.T) {
-	err := Fold(context.Background(), 4, 10, 10,
+	err := Fold(context.Background(), 10, 10,
 		func(_ context.Context, i int) (int, error) { t.Fatal("compute called"); return 0, nil },
 		func(i, r int) error { t.Fatal("fold called"); return nil })
 	if err != nil {
@@ -75,9 +79,11 @@ func TestFoldEmpty(t *testing.T) {
 // before the failed index — the journal is left valid.
 func TestFoldComputeError(t *testing.T) {
 	boom := errors.New("boom")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(workers)
 		last := -1
-		err := Fold(context.Background(), workers, 0, 200,
+		err := Fold(context.Background(), 0, 200,
 			func(_ context.Context, i int) (int, error) {
 				if i == 37 {
 					return 0, boom
@@ -104,9 +110,11 @@ func TestFoldComputeError(t *testing.T) {
 // comes back verbatim and no further fold calls happen.
 func TestFoldFoldError(t *testing.T) {
 	stop := errors.New("enough")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 6} {
+		runtime.GOMAXPROCS(workers)
 		calls := 0
-		err := Fold(context.Background(), workers, 0, 1000,
+		err := Fold(context.Background(), 0, 1000,
 			func(_ context.Context, i int) (int, error) { return i, nil },
 			func(i, r int) error {
 				calls++
@@ -128,7 +136,8 @@ func TestFoldFoldError(t *testing.T) {
 func TestFoldCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := Fold(ctx, 4, 0, 100,
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	err := Fold(ctx, 0, 100,
 		func(ctx context.Context, i int) (int, error) { return i, ctx.Err() },
 		func(i, r int) error { return nil })
 	if !errors.Is(err, context.Canceled) {

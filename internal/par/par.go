@@ -1,13 +1,15 @@
 // Package par is the flow's parallel execution engine: bounded worker
 // pools with context cancellation, error-group semantics and — the part
-// the flow actually depends on — determinism. Every kernel built on this
-// package (fault campaigns, the equiv frontier search, per-region STA
-// extraction) must produce byte-identical reports at any worker count, so
-// the primitives here separate *computing* results (any order, any
-// goroutine) from *merging* them (always in task-index order, always on
-// the caller's goroutine). Callers keep per-task results in index-addressed
-// slots and fold them serially; nothing in this package ever exposes
-// completion order.
+// the flow actually depends on — determinism. The worker count is one rule
+// owned here, Workers, not an option threaded through callers: set
+// GOMAXPROCS to bound it. Every kernel built on this package (fault
+// campaigns, the equiv frontier search, per-region STA extraction) must
+// produce byte-identical reports at any worker count, so the primitives
+// here separate *computing* results (any order, any goroutine) from
+// *merging* them (always in task-index order, always on the caller's
+// goroutine). Callers keep per-task results in index-addressed slots and
+// fold them serially; nothing in this package ever exposes completion
+// order.
 package par
 
 import (
@@ -18,20 +20,16 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a parallelism knob: n itself when positive, otherwise
-// GOMAXPROCS. Every Parallelism option field in the repo goes through this,
-// so "zero means default" is one rule, not one per package.
-func Workers(n int) int {
-	if n > 0 {
-		return n
-	}
+// Workers is the pool size of every primitive here: GOMAXPROCS, read at
+// each call.
+func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach runs fn(ctx, i) for i in [0, n) on at most workers goroutines
-// (resolved via Workers). Tasks are claimed from a shared counter, so
-// completion order is arbitrary — fn must write any result it produces
-// into an index-addressed slot.
+// ForEach runs fn(ctx, i) for i in [0, n) on at most Workers() goroutines.
+// Tasks are claimed from a shared counter, so completion order is
+// arbitrary — fn must write any result it produces into an index-addressed
+// slot.
 //
 // Error-group semantics: the first task error cancels the shared context,
 // the remaining workers drain without claiming new tasks, and the error
@@ -39,11 +37,11 @@ func Workers(n int) int {
 // cancellation echo, so the same failing input reports the same failure at
 // any worker count. A parent-context cancellation with no task error
 // returns ctx.Err().
-func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
+func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	workers = Workers(workers)
+	workers := Workers()
 	if workers > n {
 		workers = n
 	}
@@ -107,13 +105,13 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 	return firstAny
 }
 
-// Map runs fn over items on at most workers goroutines and returns the
+// Map runs fn over items on at most Workers() goroutines and returns the
 // results in item order, regardless of completion order. On error the
 // partial results are discarded and the deterministic ForEach error is
 // returned.
-func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
+func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
-	err := ForEach(ctx, workers, len(items), func(ctx context.Context, i int) error {
+	err := ForEach(ctx, len(items), func(ctx context.Context, i int) error {
 		r, err := fn(ctx, i, items[i])
 		if err != nil {
 			return err

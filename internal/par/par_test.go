@@ -10,22 +10,22 @@ import (
 )
 
 func TestWorkers(t *testing.T) {
-	if got := Workers(3); got != 3 {
-		t.Fatalf("Workers(3) = %d", got)
-	}
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Workers(-5); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(-5) = %d", got)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		if got := Workers(); got != procs {
+			t.Fatalf("GOMAXPROCS %d: Workers() = %d", procs, got)
+		}
 	}
 }
 
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2, 4, 16} {
+		runtime.GOMAXPROCS(workers)
 		const n = 1000
 		hits := make([]atomic.Int32, n)
-		err := ForEach(context.Background(), workers, n, func(_ context.Context, i int) error {
+		err := ForEach(context.Background(), n, func(_ context.Context, i int) error {
 			hits[i].Add(1)
 			return nil
 		})
@@ -41,7 +41,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachZeroTasks(t *testing.T) {
-	if err := ForEach(context.Background(), 4, 0, func(context.Context, int) error {
+	if err := ForEach(context.Background(), 0, func(context.Context, int) error {
 		t.Fatal("fn called for n=0")
 		return nil
 	}); err != nil {
@@ -52,9 +52,11 @@ func TestForEachZeroTasks(t *testing.T) {
 func TestForEachDeterministicError(t *testing.T) {
 	// Several tasks fail; the reported error must be the lowest-index one
 	// at every worker count, even though completion order differs.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(workers)
 		for trial := 0; trial < 20; trial++ {
-			err := ForEach(context.Background(), workers, 64, func(_ context.Context, i int) error {
+			err := ForEach(context.Background(), 64, func(_ context.Context, i int) error {
 				if i == 7 || i == 40 || i == 63 {
 					return fmt.Errorf("task %d failed", i)
 				}
@@ -68,8 +70,9 @@ func TestForEachDeterministicError(t *testing.T) {
 }
 
 func TestForEachErrorCancelsSiblings(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	var started atomic.Int32
-	err := ForEach(context.Background(), 2, 10_000, func(ctx context.Context, i int) error {
+	err := ForEach(context.Background(), 10_000, func(ctx context.Context, i int) error {
 		started.Add(1)
 		if i == 0 {
 			return errors.New("boom")
@@ -87,10 +90,12 @@ func TestForEachErrorCancelsSiblings(t *testing.T) {
 }
 
 func TestForEachParentCancellation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 4} {
+		runtime.GOMAXPROCS(workers)
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		err := ForEach(ctx, workers, 10_000, func(ctx context.Context, i int) error {
+		err := ForEach(ctx, 10_000, func(ctx context.Context, i int) error {
 			if ran.Add(1) == 10 {
 				cancel()
 			}
@@ -112,8 +117,10 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 		items[i] = i
 	}
 	var want []int
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2, 4, 9} {
-		got, err := Map(context.Background(), workers, items, func(_ context.Context, i, item int) (int, error) {
+		runtime.GOMAXPROCS(workers)
+		got, err := Map(context.Background(), items, func(_ context.Context, i, item int) (int, error) {
 			return item*item + i, nil
 		})
 		if err != nil {
@@ -132,7 +139,8 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 }
 
 func TestMapError(t *testing.T) {
-	_, err := Map(context.Background(), 4, []int{0, 1, 2, 3}, func(_ context.Context, i, item int) (int, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, err := Map(context.Background(), []int{0, 1, 2, 3}, func(_ context.Context, i, item int) (int, error) {
 		if item >= 2 {
 			return 0, fmt.Errorf("item %d", item)
 		}
@@ -187,7 +195,8 @@ func TestStripedInsertIfMin(t *testing.T) {
 	// minimum must win for every key, at any stripe/worker count.
 	s := NewStriped[uint64](8)
 	const keys, writers = 200, 8
-	err := ForEach(context.Background(), writers, writers, func(_ context.Context, w int) error {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(writers))
+	err := ForEach(context.Background(), writers, func(_ context.Context, w int) error {
 		for k := 0; k < keys; k++ {
 			key := fmt.Sprintf("k%03d", k)
 			prio := uint64(w*1000 + k)

@@ -57,8 +57,7 @@ func TestInterruptHookAborts(t *testing.T) {
 	stop := errors.New("deadline exceeded")
 	polls := 0
 	s, err := New(m, Config{
-		Corner:         netlist.Worst,
-		InterruptEvery: 64,
+		Corner: netlist.Worst,
 		Interrupt: func() error {
 			polls++
 			if polls >= 3 {
@@ -79,14 +78,14 @@ func TestInterruptHookAborts(t *testing.T) {
 	if polls != 3 {
 		t.Fatalf("interrupt polled %d times, want 3", polls)
 	}
-	if s.Events() > 3*64 {
+	if s.Events() > 3*interruptEvery {
 		t.Fatalf("run kept going after interrupt: %d events", s.Events())
 	}
 }
 
-// TestMaxDiagsFromConfig: the per-run diagnostic bound moves with
-// Config.MaxDiags (WatchdogConfig.MaxDiags = 0 defers to it).
-func TestMaxDiagsFromConfig(t *testing.T) {
+// TestWatchdogReportBounded: a run records every diagnostic up to the
+// per-run bound, and no more past it.
+func TestWatchdogReportBounded(t *testing.T) {
 	lib := hs()
 	m := netlist.NewModule("m")
 	m.AddPort("g", netlist.In)
@@ -97,8 +96,8 @@ func TestMaxDiagsFromConfig(t *testing.T) {
 	m.MustConnect(la, "D", m.Net("d"))
 	m.MustConnect(la, "Q", q)
 
-	run := func(maxDiags int) []Diagnostic {
-		s, err := New(m, Config{Corner: netlist.Worst, MaxDiags: maxDiags})
+	run := func(closes int) []Diagnostic {
+		s, err := New(m, Config{Corner: netlist.Worst})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,19 +106,19 @@ func TestMaxDiagsFromConfig(t *testing.T) {
 		}
 		// Repeatedly close the latch while D is still X: every closing edge
 		// captures X past the boot threshold.
-		for i := 0; i < 8; i++ {
+		for i := 0; i < closes; i++ {
 			s.Drive("g", logic.H, float64(2*i+1))
 			s.Drive("g", logic.L, float64(2*i+2))
 		}
-		if err := s.Run(100); err != nil {
+		if err := s.Run(float64(2*closes + 10)); err != nil {
 			t.Fatal(err)
 		}
 		return s.Diagnostics()
 	}
-	if got := run(2); len(got) != 2 {
-		t.Fatalf("MaxDiags=2 recorded %d diagnostics", len(got))
+	if got := run(8); len(got) != 8 {
+		t.Fatalf("8 X captures recorded %d diagnostics, want all 8", len(got))
 	}
-	if got := run(0); len(got) != 8 {
-		t.Fatalf("default MaxDiags recorded %d diagnostics, want all 8", len(got))
+	if got := run(maxDiags + 6); len(got) != maxDiags {
+		t.Fatalf("%d X captures recorded %d diagnostics, want the bound %d", maxDiags+6, len(got), maxDiags)
 	}
 }

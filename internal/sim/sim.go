@@ -21,18 +21,17 @@ import (
 	"desync/internal/netlist"
 )
 
-// Default limits of Config. They are the documented meaning of each field's
-// zero value; callers that need tighter budgets (scenario sweeps, unit
-// tests) set the fields instead of relying on package behaviour.
+// Run limits. DefaultMaxEvents is the documented meaning of a zero
+// Config.MaxEvents; callers that need a tighter oscillation budget (fault
+// campaigns, unit tests) set the field.
 const (
 	// DefaultMaxEvents is the oscillation guard when Config.MaxEvents is 0.
 	DefaultMaxEvents = 50_000_000
-	// DefaultMaxDiags bounds the watchdog report when Config.MaxDiags and
-	// WatchdogConfig.MaxDiags are both 0.
-	DefaultMaxDiags = 64
-	// DefaultInterruptEvery is the Interrupt polling stride (in applied
-	// events) when Config.InterruptEvery is 0.
-	DefaultInterruptEvery = 4096
+	// maxDiags bounds the watchdog diagnostics recorded per run.
+	maxDiags = 64
+	// interruptEvery is the Config.Interrupt polling stride in applied
+	// events.
+	interruptEvery = 4096
 )
 
 // Config controls a simulation run.
@@ -44,18 +43,12 @@ type Config struct {
 	Scale float64
 	// MaxEvents guards against oscillation; 0 means DefaultMaxEvents.
 	MaxEvents int64
-	// MaxDiags bounds the watchdog diagnostics recorded per run; 0 means
-	// DefaultMaxDiags. WatchdogConfig.MaxDiags overrides it per Watch call.
-	MaxDiags int
-	// Interrupt, when non-nil, is polled every InterruptEvery applied events;
+	// Interrupt, when non-nil, is polled every interruptEvery applied events;
 	// a non-nil return aborts Run with that error. It is the hook scenario
 	// sweeps use for per-scenario wall-clock deadlines and context
 	// cancellation inside long runs — the simulator itself never blocks, so
 	// without events there is nothing to interrupt.
 	Interrupt func() error
-	// InterruptEvery is the Interrupt polling stride in applied events; 0
-	// means DefaultInterruptEvery.
-	InterruptEvery int64
 	// DelayFactors overrides instances' DelayFactor by name, for this
 	// simulator only. The factors are snapshotted at construction, so
 	// campaigns and jitter runs can share one immutable module across
@@ -147,12 +140,6 @@ func New(m *netlist.Module, cfg Config) (*Simulator, error) {
 	}
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = DefaultMaxEvents
-	}
-	if cfg.MaxDiags == 0 {
-		cfg.MaxDiags = DefaultMaxDiags
-	}
-	if cfg.InterruptEvery == 0 {
-		cfg.InterruptEvery = DefaultInterruptEvery
 	}
 	s := &Simulator{
 		M:            m,
@@ -326,7 +313,7 @@ func (s *Simulator) Run(until float64) error {
 		if s.events > s.cfg.MaxEvents {
 			return fmt.Errorf("sim: event budget exceeded at t=%.4f (oscillation?)", s.now)
 		}
-		if s.cfg.Interrupt != nil && s.events%s.cfg.InterruptEvery == 0 {
+		if s.cfg.Interrupt != nil && s.events%interruptEvery == 0 {
 			if err := s.cfg.Interrupt(); err != nil {
 				return fmt.Errorf("sim: interrupted at t=%.4f: %w", s.now, err)
 			}

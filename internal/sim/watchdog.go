@@ -73,9 +73,6 @@ type WatchdogConfig struct {
 	// XCaptureAfter reports captures of X at times strictly later than this;
 	// negative disables the guard (a design boots through X).
 	XCaptureAfter float64
-	// MaxDiags bounds the report; 0 falls back to the simulator's
-	// Config.MaxDiags (whose own zero value means DefaultMaxDiags).
-	MaxDiags int
 }
 
 type watchdog struct {
@@ -122,11 +119,7 @@ func (s *Simulator) Diagnostics() []Diagnostic {
 }
 
 func (w *watchdog) report(d Diagnostic) {
-	limit := w.cfg.MaxDiags
-	if limit <= 0 {
-		limit = w.s.cfg.MaxDiags // New resolved the zero value already
-	}
-	if len(w.diags) < limit {
+	if len(w.diags) < maxDiags {
 		d.Stage = "watchdog/" + string(d.Kind)
 		w.diags = append(w.diags, d)
 	}

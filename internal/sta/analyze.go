@@ -247,7 +247,7 @@ func RegionDelays(ctx context.Context, m *netlist.Module, corner netlist.Corner,
 	if err != nil {
 		return nil, err
 	}
-	return g.Analyze().RegionDelays(ctx, opts.Parallelism)
+	return g.Analyze().RegionDelays(ctx)
 }
 
 // RegionDelays computes every region's launch-to-capture summary over an
@@ -255,10 +255,10 @@ func RegionDelays(ctx context.Context, m *netlist.Module, corner netlist.Corner,
 // anyway builds one graph per netlist state. The graph must be
 // register-bounded (built without LatchTransparent). After the shared
 // arrival propagation each region scans only its own registers, which
-// makes the extraction embarrassingly parallel: parallelism workers (0:
-// GOMAXPROCS), identical results at any count, since regions never share a
-// summary and each keeps its module instance order.
-func (r *Result) RegionDelays(ctx context.Context, parallelism int) (map[int]*RegionDelay, error) {
+// makes the extraction embarrassingly parallel: par.Workers() workers,
+// identical results at any count, since regions never share a summary and
+// each keeps its module instance order.
+func (r *Result) RegionDelays(ctx context.Context) (map[int]*RegionDelay, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -299,7 +299,7 @@ func (r *Result) RegionDelays(ctx context.Context, parallelism int) (map[int]*Re
 		byGroup[in.Group] = append(byGroup[in.Group], in)
 	}
 
-	rds, err := par.Map(ctx, parallelism, groups, func(ctx context.Context, _ int, grp int) (*RegionDelay, error) {
+	rds, err := par.Map(ctx, groups, func(ctx context.Context, _ int, grp int) (*RegionDelay, error) {
 		rd := &RegionDelay{Group: grp, CombMin: math.Inf(1), ClkToQ: worstC2Q}
 		for _, in := range byGroup[grp] {
 			c := in.Cell

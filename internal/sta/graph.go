@@ -110,9 +110,6 @@ type Options struct {
 	// otherwise be combinational cycles; standard register-bounded analysis
 	// treats each latch as a path boundary.
 	LatchTransparent bool
-	// Parallelism bounds the workers RegionDelays uses for per-region
-	// extraction; 0 means GOMAXPROCS. Results are identical at any value.
-	Parallelism int
 }
 
 // EffectiveFactor is the delay multiplier an instance contributes to all of

@@ -90,7 +90,7 @@ func TestResultRegionDelaysMatchesPackage(t *testing.T) {
 			return f.Desync, f.Result, nil
 		}},
 		{"fir", func() (*netlist.Design, *core.Result, error) {
-			f, err := expt.RunFIRFlow(expt.FlowConfig{})
+			f, err := expt.RunFIRFlow()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -123,7 +123,7 @@ func TestResultRegionDelaysMatchesPackage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := g.Analyze().RegionDelays(ctx, 0)
+			got, err := g.Analyze().RegionDelays(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestResultRegionDelaysMatchesPackage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := gt.Analyze().RegionDelays(ctx, 0); err == nil {
+			if _, err := gt.Analyze().RegionDelays(ctx); err == nil {
 				t.Fatal("RegionDelays over a LatchTransparent graph succeeded, want an error")
 			}
 		})

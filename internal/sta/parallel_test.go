@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"desync/internal/netlist"
@@ -40,23 +41,25 @@ func regionFixture(t *testing.T, n int) *netlist.Module {
 }
 
 // TestRegionDelaysParallelDeterministic: per-region extraction at any
-// worker count returns exactly the serial result.
+// GOMAXPROCS returns exactly the serial result.
 func TestRegionDelaysParallelDeterministic(t *testing.T) {
 	m := regionFixture(t, 6)
-	serial, err := RegionDelays(context.Background(), m, netlist.Worst, Options{Parallelism: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial, err := RegionDelays(context.Background(), m, netlist.Worst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(serial) != 6 {
 		t.Fatalf("fixture produced %d regions, want 6", len(serial))
 	}
-	for _, j := range []int{2, 4, 0} {
-		par, err := RegionDelays(context.Background(), m, netlist.Worst, Options{Parallelism: j})
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		par, err := RegionDelays(context.Background(), m, netlist.Worst, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("-j %d region delays differ from serial", j)
+			t.Fatalf("GOMAXPROCS %d region delays differ from serial", procs)
 		}
 	}
 }
@@ -66,7 +69,8 @@ func TestRegionDelaysCancellation(t *testing.T) {
 	m := regionFixture(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RegionDelays(ctx, m, netlist.Worst, Options{Parallelism: 2}); !errors.Is(err, context.Canceled) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if _, err := RegionDelays(ctx, m, netlist.Worst, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -23,9 +23,6 @@ type Config struct {
 	// come from DeriveSeed(Seed, k), so the same (Seed, Space) enumerates
 	// the same chips in any run — resumed, re-sharded or replayed.
 	Seed int64
-	// Parallelism bounds the sweep's workers (0 = GOMAXPROCS). The report
-	// and journal are byte-identical at any value.
-	Parallelism int
 	// ScenarioTimeout quarantines any single scenario that runs longer than
 	// this wall-clock budget (0 = no deadline). Timeouts are recorded, not
 	// fatal — but they are machine-speed dependent, so byte-identical
@@ -80,7 +77,7 @@ var errEnough = errors.New("sweep: failure budget exhausted")
 var errDeadline = errors.New("sweep: scenario deadline exceeded")
 
 // Run sweeps the whole space against the campaign. Scenarios compute on
-// cfg.Parallelism workers; results fold in strict scenario order into the
+// the par workers; results fold in strict scenario order into the
 // aggregates and (when configured) the checkpoint journal, so the report
 // is byte-identical at any worker count and a resumed run converges to the
 // same bytes as an uninterrupted one. A cancelled context aborts with
@@ -142,7 +139,7 @@ func Run(ctx context.Context, c *faults.Campaign, cfg Config) (*Report, error) {
 		defer jn.Close()
 	}
 
-	err := par.Fold(ctx, cfg.Parallelism, start, total,
+	err := par.Fold(ctx, start, total,
 		func(ctx context.Context, i int) (Record, error) {
 			return runOne(ctx, c, cfg, space, chips, i)
 		},
@@ -205,7 +202,6 @@ func runOne(ctx context.Context, c *faults.Campaign, cfg Config, space Space, ch
 	}
 	out, err := runQuarantined(ctx, c, faults.Scenario{
 		Fault:        space.Faults[fault],
-		Index:        int64(i),
 		Scale:        space.Corners[corner],
 		DelayFactors: chips[chip],
 		Interrupt:    interrupt,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,7 +36,7 @@ func dlxCampaign(t *testing.T) *faults.Campaign {
 		if buildErr != nil {
 			return
 		}
-		campaign, buildErr = expt.NewDLXCampaign(context.Background(), flow, 6, 0)
+		campaign, buildErr = expt.NewDLXCampaign(context.Background(), flow, 6)
 	})
 	if buildErr != nil {
 		t.Fatalf("building DLX campaign: %v", buildErr)
@@ -94,7 +95,7 @@ func sweepJSON(t *testing.T, rep *sweep.Report) []byte {
 
 // TestSweepCrashResumeDLX is the durability acceptance test: a sweep
 // killed mid-run after at least one checkpointed record, resumed from its
-// journal at a different worker count, must produce the same final report
+// journal at a different GOMAXPROCS, must produce the same final report
 // byte for byte as an uninterrupted serial run.
 func TestSweepCrashResumeDLX(t *testing.T) {
 	c := dlxCampaign(t)
@@ -106,7 +107,8 @@ func TestSweepCrashResumeDLX(t *testing.T) {
 	}
 
 	// Reference: uninterrupted, serial, no journal.
-	ref, err := sweep.Run(context.Background(), c, sweep.Config{Space: space, Seed: 3, Parallelism: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ref, err := sweep.Run(context.Background(), c, sweep.Config{Space: space, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,8 @@ func TestSweepCrashResumeDLX(t *testing.T) {
 
 	// Interrupted run: cancel (the in-process stand-in for SIGTERM — the
 	// CLI routes the signal into this same context) once a third of the
-	// sweep is journaled, at parallelism 4.
+	// sweep is journaled, at GOMAXPROCS 4.
+	runtime.GOMAXPROCS(4)
 	journal := filepath.Join(t.TempDir(), "dlx.journal")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -123,7 +126,7 @@ func TestSweepCrashResumeDLX(t *testing.T) {
 		cut = 1
 	}
 	_, err = sweep.Run(ctx, c, sweep.Config{
-		Space: space, Seed: 3, Parallelism: 4,
+		Space: space, Seed: 3,
 		Checkpoint: journal, FsyncEvery: 2,
 		Progress: func(done, _ int) {
 			if done >= cut {
@@ -146,9 +149,9 @@ func TestSweepCrashResumeDLX(t *testing.T) {
 		t.Fatalf("journal holds %d records after cancelling at %d of %d", len(recs), cut, total)
 	}
 
-	// Resume at parallelism 4: replay the prefix, compute the tail.
+	// Resume at GOMAXPROCS 4: replay the prefix, compute the tail.
 	res, err := sweep.Run(context.Background(), c, sweep.Config{
-		Space: space, Seed: 3, Parallelism: 4,
+		Space: space, Seed: 3,
 		Checkpoint: journal, Resume: true, FsyncEvery: 2,
 	})
 	if err != nil {
@@ -160,8 +163,9 @@ func TestSweepCrashResumeDLX(t *testing.T) {
 
 	// The journal now covers the whole space; resuming again replays
 	// everything and computes nothing — and still matches.
+	runtime.GOMAXPROCS(1)
 	again, err := sweep.Run(context.Background(), c, sweep.Config{
-		Space: space, Seed: 3, Parallelism: 1,
+		Space: space, Seed: 3,
 		Checkpoint: journal, Resume: true,
 	})
 	if err != nil {
@@ -200,7 +204,6 @@ func panickingCampaign(t *testing.T) *faults.Campaign {
 		Stimulus:      stim,
 		Horizon:       2 + flow.Period*6*6,
 		QuiescenceGap: 8 * flow.Period,
-		SetupGuard:    true,
 	})
 	if err != nil {
 		t.Fatalf("building panicking campaign: %v", err)
@@ -213,9 +216,10 @@ func panickingCampaign(t *testing.T) *faults.Campaign {
 func TestSweepQuarantinesPanics(t *testing.T) {
 	pc := panickingCampaign(t)
 	fs := pc.ControlStuckFaults("mri")[:2]
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	rep, err := sweep.Run(context.Background(), pc, sweep.Config{
 		Space: sweep.Space{Corners: []float64{1}, Chips: 2, Sigma: 0.05, Faults: fs},
-		Seed:  5, Parallelism: 2,
+		Seed:  5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,9 +240,10 @@ func TestSweepMaxFailuresStops(t *testing.T) {
 	pc := panickingCampaign(t)
 	fs := pc.ControlStuckFaults("mri")
 	journal := filepath.Join(t.TempDir(), "stop.journal")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	rep, err := sweep.Run(context.Background(), pc, sweep.Config{
 		Space: sweep.Space{Corners: []float64{1, 2}, Chips: 1, Faults: fs},
-		Seed:  5, Parallelism: 3, MaxFailures: 3, Checkpoint: journal,
+		Seed:  5, MaxFailures: 3, Checkpoint: journal,
 	})
 	if err != nil {
 		t.Fatal(err)

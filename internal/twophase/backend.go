@@ -42,8 +42,7 @@ func (backend) Substitute(ctx context.Context, f *core.Flow) error {
 }
 
 func (backend) Size(ctx context.Context, f *core.Flow) error {
-	rds, err := sta.RegionDelays(ctx, f.Design.Top, netlist.Worst,
-		sta.Options{Parallelism: f.Opts.Parallelism})
+	rds, err := sta.RegionDelays(ctx, f.Design.Top, netlist.Worst, sta.Options{})
 	if err != nil {
 		return err
 	}

@@ -24,7 +24,7 @@ func (r *runner) gates(ctx context.Context) error {
 	// constraints the run generated. The rule family follows the backend:
 	// DS-* (reusing the flow's derived control-network IR) after a
 	// desynchronization, TP-* after any other conversion.
-	lopts := lint.Options{Constraints: res.Constraints, Parallelism: r.opts.Flow.Parallelism}
+	lopts := lint.Options{Constraints: res.Constraints}
 	if desync {
 		lopts.Desync, lopts.Network = true, res.Network
 	} else {
@@ -115,19 +115,16 @@ func (r *runner) equivGate(ctx context.Context, d *netlist.Design, cn *ctrlnet.N
 	fail := func(err error) error {
 		return stageError(core.StageEquiv, d, "formal verification gate", r.fail(v, err))
 	}
-	p := r.opts.Flow.Parallelism
 	m, err := equiv.FromNetwork(d.Top, cn)
 	if err != nil {
 		return fail(err)
 	}
-	res, err := m.Explore(ctx, equiv.ExploreOptions{MaxStates: r.opts.EquivMaxStates, Parallelism: p})
+	res, err := m.Explore(ctx, equiv.ExploreOptions{MaxStates: r.opts.EquivMaxStates})
 	if err != nil {
 		return fail(err)
 	}
 	if r.opts.EquivXval > 0 && res.Violation == nil {
-		xv, err := m.CrossValidate(ctx, d.Top, equiv.XValConfig{
-			Traces: r.opts.EquivXval, Seed: r.opts.EquivSeed, Parallelism: p,
-		})
+		xv, err := m.CrossValidate(ctx, d.Top, equiv.XValConfig{Traces: r.opts.EquivXval, Seed: r.opts.EquivSeed})
 		if err != nil {
 			return fail(err)
 		}
@@ -165,8 +162,6 @@ func (r *runner) faultsGate(ctx context.Context) error {
 		Stimulus:      faults.ResetStimulus(d.Top, 0),
 		Horizon:       2 + period*float64(cycles)*6,
 		QuiescenceGap: 8 * period,
-		SetupGuard:    true,
-		Parallelism:   o.Flow.Parallelism,
 	})
 	if err != nil {
 		return r.fail(v, fmt.Errorf("fault campaign: %w", err))

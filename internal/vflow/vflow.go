@@ -158,7 +158,7 @@ func (r *runner) convert(ctx context.Context, build func() (*netlist.Design, err
 		r.Verdicts = nil // each attempt decides its gates afresh
 		// Pre-import gate: reject structurally broken inputs before the
 		// heavy pipeline touches them.
-		pre := lint.CheckDesign(d, lint.Options{Parallelism: flow.Parallelism})
+		pre := lint.CheckDesign(d, lint.Options{})
 		if err := r.gate(Verdict{Step: GatePreImport, Status: Ran, Reason: "lint clean"}, pre); err != nil {
 			return err
 		}
@@ -173,7 +173,7 @@ func (r *runner) convert(ctx context.Context, build func() (*netlist.Design, err
 		// static netlist rules, so a stage that corrupts the structure is
 		// caught at its own boundary, not at export.
 		o.StageCheck = func(stage string, midFlow bool) error {
-			rep := lint.Check(d.Top, lint.Options{MidFlow: midFlow, Parallelism: flow.Parallelism})
+			rep := lint.Check(d.Top, lint.Options{MidFlow: midFlow})
 			if n := rep.Errors(); n > 0 {
 				return fmt.Errorf("lint: %d error(s), first: %s", n, rep.Findings[0])
 			}
