@@ -252,7 +252,7 @@ func loadModule(o equivOpts) (*netlist.Module, error) {
 			}
 			return f.Desync.Top, nil
 		case "arm":
-			f, err := expt.RunARMFlow(false)
+			f, err := expt.RunARMFlow()
 			if err != nil {
 				return nil, err
 			}

@@ -78,7 +78,7 @@ func TestGoldenDesyncDLX(t *testing.T) {
 }
 
 func TestGoldenDesyncARM(t *testing.T) {
-	f, err := expt.RunARMFlow(false)
+	f, err := expt.RunARMFlow()
 	if err != nil {
 		t.Fatal(err)
 	}

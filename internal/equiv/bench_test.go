@@ -96,7 +96,7 @@ func BenchmarkEquivScaling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	arm, err := expt.RunARMFlow(false)
+	arm, err := expt.RunARMFlow()
 	if err != nil {
 		b.Fatal(err)
 	}

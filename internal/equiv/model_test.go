@@ -87,7 +87,7 @@ func TestDLXFullPrefixAgrees(t *testing.T) {
 // reduced and full mode — the single-region network is small enough to
 // enumerate completely, so it doubles as the reduction soundness check.
 func TestARMClean(t *testing.T) {
-	f, err := expt.RunARMFlow(false)
+	f, err := expt.RunARMFlow()
 	if err != nil {
 		t.Fatalf("ARM flow: %v", err)
 	}

@@ -112,7 +112,8 @@ func RunDLXFlow(cfg FlowConfig) (*DLXFlow, error) {
 	return f, nil
 }
 
-// ARMFlow holds the ARM case study (area only, as in §5.3).
+// ARMFlow holds the ARM case study (area only, as in §5.3). Coverage and
+// the layouts are filled by Table52 only.
 type ARMFlow struct {
 	Sync, Desync             *netlist.Design
 	Result                   *core.Result
@@ -123,10 +124,9 @@ type ARMFlow struct {
 }
 
 // RunARMFlow builds the ARM-like scan design on the Low-Leakage library,
-// inserts scan, extracts vectors, desynchronizes it as a single region
-// (§5.3: grouping the ARM automatically was not possible; one group was
-// used), and runs both backends.
-func RunARMFlow(layout bool) (*ARMFlow, error) {
+// inserts scan and desynchronizes it as a single region (§5.3: grouping
+// the ARM automatically was not possible; one group was used).
+func RunARMFlow() (*ARMFlow, error) {
 	f := &ARMFlow{}
 	build := func() (*netlist.Design, error) {
 		lib := stdcells.New(stdcells.LowLeakage)
@@ -146,11 +146,6 @@ func RunARMFlow(layout bool) (*ARMFlow, error) {
 		return nil, err
 	}
 	core.CleanLogic(f.Sync.Top)
-	cov, err := dft.GenerateVectors(f.Sync, 64, 11)
-	if err != nil {
-		return nil, err
-	}
-	f.Coverage = cov.Coverage()
 	if f.Desync, err = build(); err != nil {
 		return nil, err
 	}
@@ -166,17 +161,6 @@ func RunARMFlow(layout bool) (*ARMFlow, error) {
 	}
 	f.SyncSynth = BreakdownOf(f.Sync.Top)
 	f.DesyncSynth = BreakdownOf(f.Desync.Top)
-	if layout {
-		opts := pnr.DefaultOptions()
-		opts.Utilization = 0.80 // the paper's ARM used a roomier floorplan
-		if f.SyncLayout, err = pnr.PlaceAndRoute(f.Sync, opts); err != nil {
-			return nil, err
-		}
-		opts.Utilization = 0.88
-		if f.DesyncLayout, err = pnr.PlaceAndRoute(f.Desync, opts); err != nil {
-			return nil, err
-		}
-	}
 	return f, nil
 }
 

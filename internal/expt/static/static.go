@@ -205,7 +205,7 @@ func Run(opts Options) (*Table, error) {
 	// ARM: area-only case study — no simulation testbench, so the sim
 	// column stays empty; the static and BFS verdicts still cross-check.
 	if !opts.SkipARM {
-		arm, err := expt.RunARMFlow(false)
+		arm, err := expt.RunARMFlow()
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"desync/internal/dft"
 	"desync/internal/netlist"
+	"desync/internal/pnr"
 )
 
 // Breakdown is the area accounting used by Tables 5.1/5.2. Following the
@@ -101,10 +103,26 @@ func Table51() (*AreaTable, *DLXFlow, error) {
 	return buildAreaTable("DLX vs DDLX", f.SyncSynth, f.DesyncSynth, sl, dl), f, nil
 }
 
-// Table52 runs the ARM experiment and returns the area table of §5.3.1.
+// Table52 runs the ARM experiment and returns the area table of §5.3.1,
+// with the scan design's random-pattern stuck-at coverage (64 vectors,
+// taken before layout) and both layouts.
 func Table52() (*AreaTable, *ARMFlow, error) {
-	f, err := RunARMFlow(true)
+	f, err := RunARMFlow()
 	if err != nil {
+		return nil, nil, err
+	}
+	cov, err := dft.GenerateVectors(f.Sync, 64, 11)
+	if err != nil {
+		return nil, nil, err
+	}
+	f.Coverage = cov.Coverage()
+	opts := pnr.DefaultOptions()
+	opts.Utilization = 0.80 // the paper's ARM used a roomier floorplan
+	if f.SyncLayout, err = pnr.PlaceAndRoute(f.Sync, opts); err != nil {
+		return nil, nil, err
+	}
+	opts.Utilization = 0.88
+	if f.DesyncLayout, err = pnr.PlaceAndRoute(f.Desync, opts); err != nil {
 		return nil, nil, err
 	}
 	sl := layoutReport{f.SyncLayout.Report.Nets, f.SyncLayout.Report.Cells,

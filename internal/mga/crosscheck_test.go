@@ -61,7 +61,7 @@ func TestStaticMatchesBFSDLX(t *testing.T) {
 }
 
 func TestStaticMatchesBFSARM(t *testing.T) {
-	f, err := expt.RunARMFlow(false)
+	f, err := expt.RunARMFlow()
 	if err != nil {
 		t.Fatal(err)
 	}

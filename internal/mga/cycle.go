@@ -3,6 +3,7 @@ package mga
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"desync/internal/lint"
@@ -24,66 +25,20 @@ import (
 //     maximum cycle *mean* of the condensed one — Karp's algorithm, with
 //     the critical cycle recovered from the walk that attains the bound.
 //
+// An edge p→q depends on q only through q's source transition, so every
+// token place leaving one transition b has the same condensed in-edges:
+// Karp's table keeps one column per distinct source transition (X[k][b]
+// is the heaviest k-edge walk ending at any token place leaving b), and
+// the in-edges of a column that leave one source transition merge into
+// their heaviest, since round-to-nearest addition is monotone
+// (x + max w = max(x + w), bit for bit). That is Karp over every token
+// place, value for value, at the cost of its distinct sources; the walk's
+// parents are recovered afterwards, only along the walk.
+//
 // Places with more than one initial token would make the condensation
 // undercount tokens (raising the computed period — still a sound upper
 // bound); the builder never creates them and checkBounds flags them.
 func (g *Graph) analyzeCycles(r *Report) {
-	// Longest token-free path between transitions, by DP over a reverse
-	// topological order of the token-free DAG.
-	n := len(g.Trans)
-	order := make([]int, 0, n)
-	state := make([]int, n) // 0 unvisited, 1 visiting, 2 done
-	var visit func(v int)
-	visit = func(v int) {
-		state[v] = 1
-		for _, pid := range g.out[v] {
-			p := g.Places[pid]
-			if p.Tokens > 0 || state[p.Dst] != 0 {
-				continue
-			}
-			visit(p.Dst)
-		}
-		state[v] = 2
-		order = append(order, v)
-	}
-	for v := 0; v < n; v++ {
-		if state[v] == 0 {
-			visit(v)
-		}
-	}
-	// order is reverse-topological: successors first. long[a*n+b] is the
-	// longest token-free delay from a to b; via[a*n+b] the first place on
-	// that path, for cycle reconstruction. Flat n×n arrays: this runs on
-	// the lint path of every drdesync invocation.
-	neg := math.Inf(-1)
-	long := make([]float64, n*n)
-	via := make([]int, n*n)
-	for i := range long {
-		long[i] = neg
-		via[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		long[i*n+i] = 0
-	}
-	for _, a := range order { // successors of a are already final
-		for _, pid := range g.out[a] {
-			p := g.Places[pid]
-			if p.Tokens > 0 {
-				continue
-			}
-			for b := 0; b < n; b++ {
-				if long[p.Dst*n+b] == neg {
-					continue
-				}
-				if d := p.Delay + long[p.Dst*n+b]; d > long[a*n+b] {
-					long[a*n+b] = d
-					via[a*n+b] = pid
-				}
-			}
-		}
-	}
-
-	// Condensed graph over token places.
 	var tok []int // place ids
 	for _, p := range g.Places {
 		if p.Tokens > 0 {
@@ -94,91 +49,75 @@ func (g *Graph) analyzeCycles(r *Report) {
 	if m == 0 {
 		return // no tokens, no cycles (liveness would have failed on any cycle)
 	}
-	type cedge struct {
-		to int
-		w  float64
-	}
-	adj := make([][]cedge, m)
-	for i, pid := range tok {
-		p := g.Places[pid]
-		for j, qid := range tok {
-			q := g.Places[qid]
-			if long[p.Dst*n+q.Src] == neg {
-				continue
+	lp := g.newLongPaths()
+	cg := g.condense(tok, lp)
+	c := len(cg.cols)
+
+	// Karp: X[k][b] is the maximum weight of a k-edge walk from a virtual
+	// source (X[0] = 0 everywhere) ending at a token place leaving column
+	// b's transition. A -inf entry stays -inf through the additions, so it
+	// never wins a maximum.
+	neg := math.Inf(-1)
+	X := make([]float64, (m+1)*c) // X[k*c+b], flat
+	for k := 1; k <= m; k++ {
+		prev, cur := X[(k-1)*c:k*c], X[k*c:(k+1)*c]
+		for b := range cur {
+			best := neg
+			for _, e := range cg.merged[cg.mergedAt[b]:cg.mergedAt[b+1]] {
+				if d := prev[e.from] + e.w; d > best {
+					best = d
+				}
 			}
-			adj[i] = append(adj[i], cedge{j, p.Delay + long[p.Dst*n+q.Src]})
+			cur[b] = best
 		}
 	}
-
-	// Karp: D[k][v] = maximum weight of a k-edge walk ending at v from a
-	// virtual source (D[0] = 0 everywhere); parent pointers recover the
-	// critical walk.
-	D := make([]float64, (m+1)*m) // D[k*m+v], flat
-	par := make([]int, (m+1)*m)   // parent condensed node at step k
-	for i := range D {
-		D[i] = neg
-		par[i] = -1
+	// Per column, the minimum over k of (X[m] - X[k]) / (m - k), row by
+	// row; a -inf X[k] gives +inf, which never lowers it, and columns with
+	// a -inf X[m] are skipped below.
+	last := X[m*c:]
+	low := make([]float64, c)
+	for b := range low {
+		low[b] = math.Inf(1)
 	}
-	for v := 0; v < m; v++ {
-		D[v] = 0
-	}
-	for k := 1; k <= m; k++ {
-		for u := 0; u < m; u++ {
-			if D[(k-1)*m+u] == neg {
-				continue
-			}
-			for _, e := range adj[u] {
-				if d := D[(k-1)*m+u] + e.w; d > D[k*m+e.to] {
-					D[k*m+e.to] = d
-					par[k*m+e.to] = u
-				}
+	for k := 0; k < m; k++ {
+		for b, x := range X[k*c : (k+1)*c] {
+			if mu := (last[b] - x) / float64(m-k); mu < low[b] {
+				low[b] = mu
 			}
 		}
 	}
 	best, bestV := neg, -1
 	for v := 0; v < m; v++ {
-		if D[m*m+v] == neg {
+		b := cg.srcCol[v]
+		if last[b] == neg {
 			continue
 		}
-		low := math.Inf(1)
-		for k := 0; k < m; k++ {
-			if D[k*m+v] == neg {
-				continue
-			}
-			if mu := (D[m*m+v] - D[k*m+v]) / float64(m-k); mu < low {
-				low = mu
-			}
-		}
-		if low > best {
-			best, bestV = low, v
+		if low[b] > best {
+			best, bestV = low[b], v
 		}
 	}
 	if bestV < 0 {
 		return // acyclic control graph (single region with environment on both sides is still cyclic)
 	}
 
-	// Critical cycle: walk the parent chain of the maximal walk; some
-	// condensed node repeats within m steps, and the repeated segment is a
-	// cycle whose mean is the maximum (Karp's standard reconstruction).
+	// Critical cycle: walk the parent chain of the maximal walk back from
+	// step m; some token place repeats within m steps, and the repeated
+	// segment is a cycle whose mean is the maximum (Karp's standard
+	// reconstruction).
 	walk := make([]int, 0, m+1)
-	v := bestV
-	for k := m; k >= 0 && v >= 0; k-- {
-		walk = append(walk, v)
-		v = par[k*m+v]
+	seen := make([]int, m) // position of a token place in walk, or -1
+	for i := range seen {
+		seen[i] = -1
 	}
-	// walk is reversed (end first); find a repeated node (the walk has at
-	// most m+1 entries, so a linear scan beats a map).
 	var cyc []int
-	for i, u := range walk {
-		for j := 0; j < i; j++ {
-			if walk[j] == u {
-				cyc = append(cyc, walk[j:i]...)
-				break
-			}
-		}
-		if len(cyc) > 0 {
+	for k, v := m, bestV; k >= 0 && v >= 0; k-- {
+		if j := seen[v]; j >= 0 {
+			cyc = walk[j:]
 			break
 		}
+		seen[v] = len(walk)
+		walk = append(walk, v)
+		v = cg.parent(X, k, v)
 	}
 	if len(cyc) == 0 {
 		cyc = []int{bestV}
@@ -188,7 +127,7 @@ func (g *Graph) analyzeCycles(r *Report) {
 		cyc[i], cyc[j] = cyc[j], cyc[i]
 	}
 
-	// Expand condensed nodes back to place names, inserting the token-free
+	// Expand token places back to place names, inserting the token-free
 	// path between consecutive token places, and recompute the exact
 	// ratio of the extracted cycle (guards the reconstruction).
 	var names []string
@@ -199,9 +138,10 @@ func (g *Graph) analyzeCycles(r *Report) {
 		total += p.Delay
 		tokens += p.Tokens
 		next := g.Places[tok[cyc[(i+1)%len(cyc)]]]
+		lp.column(next.Src) // via reads this column
 		at := p.Dst
 		for at != next.Src {
-			pid := via[at*n+next.Src]
+			pid := lp.via(at)
 			if pid < 0 {
 				break
 			}
@@ -225,6 +165,197 @@ func (g *Graph) analyzeCycles(r *Report) {
 		Msg: fmt.Sprintf("critical handshake cycle %s: static period bound %.4f ns", joinNames(names), period),
 	})
 	g.perRegion(r)
+}
+
+// longPaths answers longest token-free path queries one target at a time.
+// column(b) fills col[a], the longest delay over token-free places from a
+// to b (-inf when there is no such path), visiting only the transitions
+// that reach b, successors first in one fixed reverse topological order of
+// the token-free DAG.
+type longPaths struct {
+	g       *Graph
+	rank    []int     // position of each transition in the reverse topological order
+	col     []float64 // the last column filled
+	reach   []int     // the transitions that reach the last target, by rank
+	inReach []bool    // membership of reach
+}
+
+func (g *Graph) newLongPaths() *longPaths {
+	n := len(g.Trans)
+	lp := &longPaths{g: g, rank: make([]int, n), col: make([]float64, n), inReach: make([]bool, n)}
+	// Reverse topological order of the token-free DAG: successors first.
+	state := make([]int, n) // 0 unvisited, 1 visiting, 2 done
+	next := 0
+	var visit func(v int)
+	visit = func(v int) {
+		state[v] = 1
+		for _, pid := range g.out[v] {
+			p := g.Places[pid]
+			if p.Tokens > 0 || state[p.Dst] != 0 {
+				continue
+			}
+			visit(p.Dst)
+		}
+		state[v] = 2
+		lp.rank[v] = next
+		next++
+	}
+	for v := 0; v < n; v++ {
+		if state[v] == 0 {
+			visit(v)
+		}
+	}
+	for i := range lp.col {
+		lp.col[i] = math.Inf(-1)
+	}
+	return lp
+}
+
+// column fills col for target b and returns it; the previous column is
+// cleared first, so a query costs the part of the graph that reaches b.
+func (lp *longPaths) column(b int) []float64 {
+	g, col := lp.g, lp.col
+	for _, a := range lp.reach {
+		col[a], lp.inReach[a] = math.Inf(-1), false
+	}
+	lp.reach = append(lp.reach[:0], b)
+	lp.inReach[b] = true
+	for i := 0; i < len(lp.reach); i++ {
+		for _, pid := range g.in[lp.reach[i]] {
+			if p := &g.Places[pid]; p.Tokens == 0 && !lp.inReach[p.Src] {
+				lp.inReach[p.Src] = true
+				lp.reach = append(lp.reach, p.Src)
+			}
+		}
+	}
+	slices.SortFunc(lp.reach, func(x, y int) int { return lp.rank[x] - lp.rank[y] })
+	col[b] = 0
+	for _, a := range lp.reach { // successors of a are already final
+		for _, pid := range g.out[a] {
+			p := &g.Places[pid]
+			if p.Tokens > 0 {
+				continue
+			}
+			if d := p.Delay + col[p.Dst]; d > col[a] {
+				col[a] = d
+			}
+		}
+	}
+	return col
+}
+
+// via returns the first token-free place out of a, in out-list order, that
+// starts a longest path to the last column's target (the place a strict >
+// scan of the out-list keeps), or -1 when a does not reach the target.
+func (lp *longPaths) via(a int) int {
+	col := lp.col
+	if col[a] == math.Inf(-1) {
+		return -1
+	}
+	for _, pid := range lp.g.out[a] {
+		if p := &lp.g.Places[pid]; p.Tokens == 0 && p.Delay+col[p.Dst] == col[a] {
+			return pid
+		}
+	}
+	return -1
+}
+
+// condensed is the condensed graph stored by Karp column: one column per
+// distinct source transition of a token place.
+type condensed struct {
+	cols   []int   // the source transition of each column, ascending
+	srcCol []int32 // the column of each token place's source transition
+	// in lists, per column, every token place with a condensed edge into
+	// the column's token places, with the edge weight (from is the token
+	// place); merged keeps the heaviest of those per source column (from
+	// is the column). Column b owns in[inAt[b]:inAt[b+1]] and likewise
+	// for merged.
+	in, merged     []cedge
+	inAt, mergedAt []int
+}
+
+// cedge is one condensed edge into a column: where it comes from (a token
+// place or a column) and its weight.
+type cedge struct {
+	from int32
+	w    float64
+}
+
+// condense builds the condensed graph over the token places tok. Column
+// b's in-edges come from the token places consumed by the transitions that
+// reach b, each weighted by its delay plus the longest token-free path on.
+func (g *Graph) condense(tok []int, lp *longPaths) *condensed {
+	cg := &condensed{srcCol: make([]int32, len(tok))}
+	tokOf := make([]int32, len(g.Places))
+	for u, pid := range tok {
+		tokOf[pid] = int32(u)
+		cg.cols = append(cg.cols, g.Places[pid].Src)
+	}
+	slices.Sort(cg.cols)
+	cg.cols = slices.Compact(cg.cols)
+	colOf := make([]int32, len(g.Trans))
+	for ci, t := range cg.cols {
+		colOf[t] = int32(ci)
+	}
+	for u, pid := range tok {
+		cg.srcCol[u] = colOf[g.Places[pid].Src]
+	}
+	c := len(cg.cols)
+	cg.inAt = make([]int, 1, c+1)
+	cg.mergedAt = make([]int, 1, c+1)
+	heaviest := make([]float64, c) // per source column, while merging one column
+	for i := range heaviest {
+		heaviest[i] = math.Inf(-1)
+	}
+	var touched []int32
+	for _, b := range cg.cols {
+		col := lp.column(b)
+		for _, a := range lp.reach {
+			for _, pid := range g.in[a] {
+				p := &g.Places[pid]
+				if p.Tokens == 0 {
+					continue
+				}
+				u := tokOf[pid]
+				w := p.Delay + col[a]
+				cg.in = append(cg.in, cedge{u, w})
+				s := cg.srcCol[u]
+				if heaviest[s] == math.Inf(-1) {
+					touched = append(touched, s)
+				}
+				heaviest[s] = max(heaviest[s], w)
+			}
+		}
+		for _, s := range touched {
+			cg.merged = append(cg.merged, cedge{s, heaviest[s]})
+			heaviest[s] = math.Inf(-1)
+		}
+		touched = touched[:0]
+		cg.inAt = append(cg.inAt, len(cg.in))
+		cg.mergedAt = append(cg.mergedAt, len(cg.merged))
+	}
+	return cg
+}
+
+// parent returns the predecessor of token place v on a heaviest k-edge
+// walk, or -1 at step 0: the lowest-index token place whose edge into v
+// attains X[k][v] from X[k-1], the one a per-place recurrence relaxing
+// token places in ascending order with a strict > keeps.
+func (cg *condensed) parent(X []float64, k, v int) int {
+	if k == 0 {
+		return -1
+	}
+	c := len(cg.cols)
+	b := int(cg.srcCol[v])
+	want, prev := X[k*c+b], X[(k-1)*c:k*c]
+	best := -1
+	for _, e := range cg.in[cg.inAt[b]:cg.inAt[b+1]] {
+		u := int(e.from)
+		if prev[cg.srcCol[u]]+e.w == want && (best < 0 || u < best) {
+			best = u
+		}
+	}
+	return best
 }
 
 // bottleneckOf names the channel contributing the largest delay on the

@@ -25,7 +25,10 @@
 //     delay(C)/tokens(C) over all cycles, computed exactly by condensing
 //     the token-free subgraph (a DAG once liveness holds) and running
 //     Karp's maximum-mean-cycle algorithm, which also names the critical
-//     handshake cycle and its bottleneck channel.
+//     handshake cycle and its bottleneck channel. Token places leaving one
+//     transition share their condensed in-edges, so Karp's table has one
+//     column per distinct source transition, not per token place, and
+//     holds the per-place values bit for bit.
 //
 // Place delays are priced from the library arcs the simulator uses (worst
 // corner, instance delay factors included), walking the actual request

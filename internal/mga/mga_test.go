@@ -20,6 +20,91 @@ func ring(fwdTok, backTok int, fwdD, backD float64) *Graph {
 	return g
 }
 
+// selfLoop is a single transition with a token-free place to itself.
+func selfLoop() *Graph {
+	g := &Graph{Design: "selfloop"}
+	a := g.AddTransition("A", TransMaster, 1)
+	g.AddPlace(Place{Src: a, Dst: a, Tokens: 0, Delay: 1, Name: "self"})
+	return g
+}
+
+// unbounded has a forward place with no return path, its producer kept
+// firing by a self-loop.
+func unbounded() *Graph {
+	g := &Graph{Design: "unbounded"}
+	a := g.AddTransition("A", TransMaster, 1)
+	b := g.AddTransition("B", TransSlave, 1)
+	g.AddPlace(Place{Src: a, Dst: b, Tokens: 1, Delay: 2, Name: "fwd", Channel: "A>B"})
+	g.AddPlace(Place{Src: a, Dst: a, Tokens: 1, Delay: 1, Name: "spin"}) // keeps A firing
+	return g
+}
+
+// twoRings has two cycles through A: 10 ns on one token, 8 ns on two.
+func twoRings() *Graph {
+	g := &Graph{Design: "tworings"}
+	a := g.AddTransition("A", TransMaster, 1)
+	b := g.AddTransition("B", TransSlave, 1)
+	c := g.AddTransition("C", TransSlave, 2)
+	g.AddPlace(Place{Src: a, Dst: b, Tokens: 1, Delay: 10, Name: "slow", Channel: "A>B"})
+	g.AddPlace(Place{Src: b, Dst: a, Tokens: 0, Delay: 0, Name: "slowback"})
+	g.AddPlace(Place{Src: a, Dst: c, Tokens: 1, Delay: 4, Name: "fast", Channel: "A>C"})
+	g.AddPlace(Place{Src: c, Dst: a, Tokens: 1, Delay: 4, Name: "fastback"})
+	return g
+}
+
+// twoSCCs is two disconnected rings, one healthy and one token-free.
+func twoSCCs() *Graph {
+	g := &Graph{Design: "twosccs"}
+	a := g.AddTransition("A", TransMaster, 1)
+	b := g.AddTransition("B", TransSlave, 1)
+	c := g.AddTransition("C", TransMaster, 2)
+	d := g.AddTransition("D", TransSlave, 2)
+	g.AddPlace(Place{Src: a, Dst: b, Tokens: 1, Delay: 1, Name: "ok-fwd"})
+	g.AddPlace(Place{Src: b, Dst: a, Tokens: 0, Delay: 1, Name: "ok-back"})
+	g.AddPlace(Place{Src: c, Dst: d, Tokens: 0, Delay: 1, Name: "bad-fwd"})
+	g.AddPlace(Place{Src: d, Dst: c, Tokens: 0, Delay: 1, Name: "bad-back"})
+	return g
+}
+
+// boundsGraph has places of bound 1, 2 and unbounded: A⇄B carries one
+// token (bound 1), C⇄D two (bound 2), and B→E feeds a spinning E⇄F ring
+// with no path back to B (unbounded). A zero-token detour A→C→B adds a
+// 0-weight path a bound search must expand in place.
+func boundsGraph() *Graph {
+	g := &Graph{Design: "bounds"}
+	a := g.AddTransition("A", TransMaster, 1)
+	b := g.AddTransition("B", TransSlave, 1)
+	c := g.AddTransition("C", TransMaster, 2)
+	d := g.AddTransition("D", TransSlave, 2)
+	e := g.AddTransition("E", TransMaster, 3)
+	f := g.AddTransition("F", TransSlave, 3)
+	g.AddPlace(Place{Src: a, Dst: b, Tokens: 1, Name: "ab"})
+	g.AddPlace(Place{Src: b, Dst: a, Tokens: 0, Name: "ba"})
+	g.AddPlace(Place{Src: c, Dst: d, Tokens: 1, Name: "cd"})
+	g.AddPlace(Place{Src: d, Dst: c, Tokens: 1, Name: "dc"})
+	g.AddPlace(Place{Src: a, Dst: c, Tokens: 0, Name: "ac"})
+	g.AddPlace(Place{Src: c, Dst: b, Tokens: 0, Name: "cb"})
+	g.AddPlace(Place{Src: b, Dst: e, Tokens: 1, Name: "be"})
+	g.AddPlace(Place{Src: e, Dst: f, Tokens: 1, Name: "ef"})
+	g.AddPlace(Place{Src: f, Dst: e, Tokens: 0, Name: "fe"})
+	return g
+}
+
+// handBuilt names every hand-built graph the tests of this file analyze.
+func handBuilt() map[string]func() *Graph {
+	return map[string]func() *Graph{
+		"ring":          func() *Graph { return ring(1, 0, 2, 3) },
+		"ring-tokfree":  func() *Graph { return ring(0, 0, 2, 3) },
+		"ring-overflow": func() *Graph { return ring(1, 1, 2, 2) },
+		"ring-unit":     func() *Graph { return ring(0, 0, 1, 1) },
+		"selfloop":      selfLoop,
+		"unbounded":     unbounded,
+		"tworings":      twoRings,
+		"twosccs":       twoSCCs,
+		"bounds":        boundsGraph,
+	}
+}
+
 func findingWith(fs []lint.Finding, rule, substr string) bool {
 	for _, f := range fs {
 		if f.Rule == rule && strings.Contains(f.Msg, substr) {
@@ -70,10 +155,7 @@ func TestTokenFreeCycleRejected(t *testing.T) {
 func TestSelfLoopTokenFreeCycle(t *testing.T) {
 	// A single-transition self-loop is the smallest cycle: Tarjan's
 	// singleton SCCs must still notice the self-edge.
-	g := &Graph{Design: "selfloop"}
-	a := g.AddTransition("A", TransMaster, 1)
-	g.AddPlace(Place{Src: a, Dst: a, Tokens: 0, Delay: 1, Name: "self"})
-	r := g.Analyze()
+	r := selfLoop().Analyze()
 	if r.Live {
 		t.Fatal("token-free self-loop accepted as live")
 	}
@@ -85,12 +167,7 @@ func TestSelfLoopTokenFreeCycle(t *testing.T) {
 func TestUnboundedPlace(t *testing.T) {
 	// A forward place with no return path: the producer free-runs and the
 	// place accumulates tokens without bound (a severed acknowledge).
-	g := &Graph{Design: "unbounded"}
-	a := g.AddTransition("A", TransMaster, 1)
-	b := g.AddTransition("B", TransSlave, 1)
-	g.AddPlace(Place{Src: a, Dst: b, Tokens: 1, Delay: 2, Name: "fwd", Channel: "A>B"})
-	g.AddPlace(Place{Src: a, Dst: a, Tokens: 1, Delay: 1, Name: "spin"}) // keeps A firing
-	r := g.Analyze()
+	r := unbounded().Analyze()
 	if r.Safe {
 		t.Fatal("unbounded place accepted as safe")
 	}
@@ -124,15 +201,7 @@ func TestOverflowBound(t *testing.T) {
 func TestKarpPicksWorstCycle(t *testing.T) {
 	// Two cycles through a shared transition: ratio 10/1 beats 8/2. The
 	// maximum cycle ratio — not the heaviest total delay — must win.
-	g := &Graph{Design: "tworings"}
-	a := g.AddTransition("A", TransMaster, 1)
-	b := g.AddTransition("B", TransSlave, 1)
-	c := g.AddTransition("C", TransSlave, 2)
-	g.AddPlace(Place{Src: a, Dst: b, Tokens: 1, Delay: 10, Name: "slow", Channel: "A>B"})
-	g.AddPlace(Place{Src: b, Dst: a, Tokens: 0, Delay: 0, Name: "slowback"})
-	g.AddPlace(Place{Src: a, Dst: c, Tokens: 1, Delay: 4, Name: "fast", Channel: "A>C"})
-	g.AddPlace(Place{Src: c, Dst: a, Tokens: 1, Delay: 4, Name: "fastback"})
-	r := g.Analyze()
+	r := twoRings().Analyze()
 	if !r.Live {
 		t.Fatal("graph should be live")
 	}
@@ -156,16 +225,7 @@ func TestKarpPicksWorstCycle(t *testing.T) {
 func TestMultipleSCCsEachChecked(t *testing.T) {
 	// Two disconnected rings: one healthy, one token-free. The liveness
 	// check must inspect every SCC, not stop at the first.
-	g := &Graph{Design: "twosccs"}
-	a := g.AddTransition("A", TransMaster, 1)
-	b := g.AddTransition("B", TransSlave, 1)
-	c := g.AddTransition("C", TransMaster, 2)
-	d := g.AddTransition("D", TransSlave, 2)
-	g.AddPlace(Place{Src: a, Dst: b, Tokens: 1, Delay: 1, Name: "ok-fwd"})
-	g.AddPlace(Place{Src: b, Dst: a, Tokens: 0, Delay: 1, Name: "ok-back"})
-	g.AddPlace(Place{Src: c, Dst: d, Tokens: 0, Delay: 1, Name: "bad-fwd"})
-	g.AddPlace(Place{Src: d, Dst: c, Tokens: 0, Delay: 1, Name: "bad-back"})
-	r := g.Analyze()
+	r := twoSCCs().Analyze()
 	if r.Live {
 		t.Fatal("graph with one token-free SCC accepted as live")
 	}
@@ -224,25 +284,7 @@ func TestLintReportFoldsFindings(t *testing.T) {
 // graph whose places have bounds 1, 2 and unbounded, in any query order.
 func TestMinTokenDistReusedBuffer(t *testing.T) {
 	const inf = int(1) << 30
-	g := &Graph{Design: "bounds"}
-	a := g.AddTransition("A", TransMaster, 1)
-	b := g.AddTransition("B", TransSlave, 1)
-	c := g.AddTransition("C", TransMaster, 2)
-	d := g.AddTransition("D", TransSlave, 2)
-	e := g.AddTransition("E", TransMaster, 3)
-	f := g.AddTransition("F", TransSlave, 3)
-	// A⇄B carries one token (bound 1), C⇄D two (bound 2), and B→E feeds a
-	// spinning E⇄F ring with no path back to B (unbounded). A zero-token
-	// detour A→C→B adds a 0-weight path the search must expand in place.
-	g.AddPlace(Place{Src: a, Dst: b, Tokens: 1, Name: "ab"})
-	g.AddPlace(Place{Src: b, Dst: a, Tokens: 0, Name: "ba"})
-	g.AddPlace(Place{Src: c, Dst: d, Tokens: 1, Name: "cd"})
-	g.AddPlace(Place{Src: d, Dst: c, Tokens: 1, Name: "dc"})
-	g.AddPlace(Place{Src: a, Dst: c, Tokens: 0, Name: "ac"})
-	g.AddPlace(Place{Src: c, Dst: b, Tokens: 0, Name: "cb"})
-	g.AddPlace(Place{Src: b, Dst: e, Tokens: 1, Name: "be"})
-	g.AddPlace(Place{Src: e, Dst: f, Tokens: 1, Name: "ef"})
-	g.AddPlace(Place{Src: f, Dst: e, Tokens: 0, Name: "fe"})
+	g := boundsGraph()
 	g.index()
 
 	bound := func(p Place, buf *distBuf) int {
