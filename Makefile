@@ -64,6 +64,8 @@ check: vet lint equiv sweep serve scale
 	$(GO) test -run XXX -bench 'BenchmarkEquivDLX$$|BenchmarkEquivParallelDLX' -benchtime 1x ./internal/equiv/
 	$(GO) test -run XXX -bench 'BenchmarkServeCachedSubmit' -benchtime 1x ./internal/flowserv/
 	$(GO) test -run XXX -bench 'BenchmarkNetlistDerive100k' -benchtime 1x ./internal/expt/
+	$(GO) test -run XXX -bench 'BenchmarkWrite$$' -benchtime 1x ./internal/verilog/
+	$(GO) test -run XXX -bench 'BenchmarkCtrlnetDeriveDLX$$' -benchtime 1x ./internal/ctrlnet/
 
 # Short fuzz passes over the three text front ends and the sweep's
 # checkpoint-journal parser; corpora are committed under

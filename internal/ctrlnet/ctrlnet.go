@@ -155,9 +155,9 @@ type Network struct {
 	Channels    map[int]*Channel
 
 	// Latches lists every latch instance in module order with its coloring;
-	// latchOf indexes them by instance.
+	// latchOf indexes them by InstID.
 	Latches []*Latch
-	latchOf map[*netlist.Inst]*Latch
+	latchOf []*Latch
 
 	// Edges lists every latch-to-latch data reach of the colored latches, in
 	// deterministic (module, pin, source-name) order. Duplicate (sink, net)
@@ -197,8 +197,14 @@ type Network struct {
 // a desynchronized design.
 func (n *Network) Empty() bool { return len(n.Regions) == 0 }
 
-// Latch returns the coloring of one latch instance, nil for non-latches.
-func (n *Network) Latch(in *netlist.Inst) *Latch { return n.latchOf[in] }
+// Latch returns the coloring of one latch instance, nil for non-latches
+// and for instances of other modules.
+func (n *Network) Latch(in *netlist.Inst) *Latch {
+	if id := in.ID(); int(id) < len(n.latchOf) && n.Module.InstByID(id) == in {
+		return n.latchOf[id]
+	}
+	return nil
+}
 
 // ControlNet resolves a region control net by suffix: the six channel nets
 // from the Channel, the gm/gs latch-enable nets from the controller gate

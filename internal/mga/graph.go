@@ -103,14 +103,23 @@ type builder struct {
 	sigs   []equiv.StaticSignal
 	corner netlist.Corner
 
-	// stop is the set of nets whose drivers are controller gates: path
-	// walks terminate there (the place starting at that gate prices the
-	// gate's own arc separately).
-	stop map[*netlist.Net]bool
+	// Path walk state lives in tables indexed by net slot: a net's NetID,
+	// or, for a net the module does not own (a connection set past the
+	// netlist's bookkeeping can reach one), a slot past the module's own
+	// handed out by the small foreign map.
+	mod     *netlist.Module
+	nets    int // slots of the module's own nets
+	foreign map[*netlist.Net]int
 
-	// memo caches path delays per (net, rise); a NaN entry marks a net
-	// currently on the walk stack (combinational-cycle guard).
-	memo map[pathKey]float64
+	// stop marks the nets whose drivers are controller gates: path walks
+	// terminate there (the place starting at that gate prices the gate's
+	// own arc separately).
+	stop []bool
+
+	// memo caches path delays at 2*slot (rising) and 2*slot+1 (falling).
+	// An entry is unset until its walk starts; NaN marks a net currently
+	// on the walk stack (combinational-cycle guard).
+	memo []float64
 
 	// pins caches each cell's input/output pin names: path visits the
 	// same few cell types hundreds of times across the delay chains, and
@@ -131,9 +140,24 @@ func (b *builder) pinsOf(c *netlist.CellDef) *pinSets {
 	return ps
 }
 
-type pathKey struct {
-	n    *netlist.Net
-	rise bool
+// unset marks a memo entry whose walk has not started: no path delay is
+// -Inf.
+var unset = math.Inf(-1)
+
+// slot returns the net's table slot, giving a net the module does not own
+// the next slot past the module's own.
+func (b *builder) slot(n *netlist.Net) int {
+	if id := n.ID(); int(id) < b.nets && b.mod.NetByID(id) == n {
+		return int(id)
+	}
+	s, ok := b.foreign[n]
+	if !ok {
+		s = len(b.stop)
+		b.foreign[n] = s
+		b.stop = append(b.stop, false)
+		b.memo = append(b.memo, unset, unset)
+	}
+	return s
 }
 
 // BuildGraph constructs the delay-annotated marked graph of a
@@ -160,10 +184,18 @@ func BuildGraph(mod *netlist.Module, cn *ctrlnet.Network, m *equiv.Model, opts O
 		cn:   cn,
 		sigs: m.StaticSignals(),
 
-		corner: opts.corner(),
-		stop:   map[*netlist.Net]bool{},
-		memo:   make(map[pathKey]float64, 512),
-		pins:   map[*netlist.CellDef]*pinSets{},
+		corner:  opts.corner(),
+		mod:     mod,
+		foreign: map[*netlist.Net]int{},
+		pins:    map[*netlist.CellDef]*pinSets{},
+	}
+	for _, n := range mod.Nets {
+		b.nets = max(b.nets, int(n.ID())+1)
+	}
+	b.stop = make([]bool, b.nets)
+	b.memo = make([]float64, 2*b.nets)
+	for i := range b.memo {
+		b.memo[i] = unset
 	}
 	g := b.g
 	g.sigs = b.sigs
@@ -192,7 +224,7 @@ func BuildGraph(mod *netlist.Module, cn *ctrlnet.Network, m *equiv.Model, opts O
 		for _, gs := range []ctrlnet.Gates{c.Master, c.Slave} {
 			for _, in := range []*netlist.Inst{gs.G, gs.RO, gs.B, gs.AI} {
 				if n := gateOut(in); n != nil {
-					b.stop[n] = true
+					b.stop[b.slot(n)] = true
 				}
 			}
 		}
@@ -439,8 +471,12 @@ func (b *builder) path(n *netlist.Net, rise bool) float64 {
 	if n == nil {
 		return 0
 	}
-	k := pathKey{n, rise}
-	if d, ok := b.memo[k]; ok {
+	s := b.slot(n)
+	k := 2 * s
+	if !rise {
+		k++
+	}
+	if d := b.memo[k]; d != unset {
 		if math.IsNaN(d) {
 			// A combinational cycle outside the controller gates; lint's
 			// NL-LOOP owns reporting it. Cut the walk.
@@ -448,7 +484,7 @@ func (b *builder) path(n *netlist.Net, rise bool) float64 {
 		}
 		return d
 	}
-	if b.stop[n] {
+	if b.stop[s] {
 		return 0
 	}
 	in := n.Driver.Inst
