@@ -169,18 +169,18 @@ func run(ctx context.Context, o runOpts, stdout, stderr io.Writer) (*vflow.Outco
 	}
 	d, res := out.Design, out.Result
 
-	if err := os.WriteFile(o.out, []byte(verilog.Write(d)), 0o644); err != nil {
+	if err := writeText(o.out, verilog.Write(d)); err != nil {
 		return out, err
 	}
 	if o.sdcOut != "" {
-		if err := os.WriteFile(o.sdcOut, []byte(res.Constraints.Write()), 0o644); err != nil {
+		if err := writeText(o.sdcOut, res.Constraints.Write()); err != nil {
 			return out, err
 		}
 	}
 	if o.tbOut != "" {
 		if res.Backend != core.BackendDesync {
 			fmt.Fprintf(stderr, "drdesync: -tb drives the handshake reset protocol; not applicable to the %s backend, skipped\n", res.Backend)
-		} else if err := os.WriteFile(o.tbOut, []byte(core.WriteTestbench(d, res, "", o.Flow.Period)), 0o644); err != nil {
+		} else if err := writeText(o.tbOut, core.WriteTestbench(d, res, "", o.Flow.Period)); err != nil {
 			return out, err
 		}
 	}
@@ -189,11 +189,25 @@ func run(ctx context.Context, o runOpts, stdout, stderr io.Writer) (*vflow.Outco
 		if err != nil {
 			return out, err
 		}
-		if err := os.WriteFile(o.blifOut, []byte(text), 0o644); err != nil {
+		if err := writeText(o.blifOut, text); err != nil {
 			return out, err
 		}
 	}
 	return out, nil
+}
+
+// writeText writes text to path as os.WriteFile would, without first
+// copying it into a byte slice (the exported netlist runs to megabytes).
+func writeText(path, text string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteString(text)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // report renders an outcome as far as the run got: the conversion summary

@@ -62,7 +62,8 @@ func goldenDigests(t *testing.T, gen string, opts FlowOptions, names []string) m
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob("golden", &req, key, d)
+	j := newJob("golden", &req, key, "", d.Top.Name)
+	j.design = d
 	arts, err := runFlow(context.Background(), j)
 	if err != nil {
 		t.Fatalf("flow: %v", err)

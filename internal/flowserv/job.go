@@ -52,9 +52,16 @@ type job struct {
 	id  string
 	req *JobRequest
 	key string
+	// digest is the request digest, recorded in the memo with the result.
+	digest string
+	// top names the input design's top module, for status after the
+	// design is gone.
+	top string
 
 	// design is the input netlist, built at submit time to compute the
-	// content hash; the flow mutates it in place when the job runs.
+	// content hash; the flow mutates it in place when the job runs. Only a
+	// leader holds one, from admission until it turns terminal, so a
+	// finished job keeps its artifacts and no netlist.
 	design *netlist.Design
 
 	mu       sync.Mutex
@@ -73,9 +80,9 @@ type job struct {
 	artifacts map[string][]byte
 }
 
-func newJob(id string, req *JobRequest, key string, d *netlist.Design) *job {
+func newJob(id string, req *JobRequest, key, digest, top string) *job {
 	j := &job{
-		id: id, req: req, key: key, design: d,
+		id: id, req: req, key: key, digest: digest, top: top,
 		state:   StateQueued,
 		changed: make(chan struct{}),
 		done:    make(chan struct{}),
@@ -144,6 +151,7 @@ func (j *job) finish(state, msg string, artifacts map[string][]byte, cached bool
 	j.state = state
 	j.errMsg = msg
 	j.cached = cached
+	j.design = nil
 	if artifacts != nil {
 		j.artifacts = artifacts
 	}
@@ -194,6 +202,7 @@ func (j *job) cancel(msg string) bool {
 	if j.state == StateQueued {
 		j.state = StateCanceled
 		j.errMsg = msg
+		j.design = nil
 		j.eventLocked(StateCanceled, "", msg)
 		close(j.done)
 		j.mu.Unlock()
@@ -211,16 +220,12 @@ func (j *job) cancel(msg string) bool {
 func (j *job) status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := Status{
-		ID: j.id, State: j.state, Gen: j.req.Gen, Cached: j.cached,
+	return Status{
+		ID: j.id, State: j.state, Design: j.top, Gen: j.req.Gen, Cached: j.cached,
 		Attached: j.attached, CacheKey: j.key, Stage: j.stage,
 		Error: j.errMsg, Events: len(j.events),
+		Artifacts: artifactNames(j.artifacts),
 	}
-	if j.design != nil {
-		st.Design = j.design.Top.Name
-	}
-	st.Artifacts = artifactNames(j.artifacts)
-	return st
 }
 
 // snapshotArtifacts returns the artifact map for serving; nil when none.

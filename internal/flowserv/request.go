@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"desync/internal/core"
@@ -168,12 +169,19 @@ func (r *JobRequest) libVariant() stdcells.Variant {
 	return stdcells.HighSpeed
 }
 
+// testBuildHook, when non-nil, is invoked on every input build. Tests use
+// it to count builds: a memoized resubmission must not build at all.
+var testBuildHook func()
+
 // buildDesign constructs the input design: a generator build or an upload
 // parse. For pre-grouped generators the request's ManualGroups is forced
 // on — the generator bakes the region assignment into the instances
 // (§5.3) — and the canonical options reflect that, so the forced and the
 // explicit form share a cache entry.
 func (r *JobRequest) buildDesign() (*netlist.Design, error) {
+	if testBuildHook != nil {
+		testBuildHook()
+	}
 	lib := stdcells.New(r.libVariant())
 	if r.Gen != "" {
 		return designs.ParseSpec(r.Gen, lib)
@@ -189,6 +197,30 @@ func (r *JobRequest) normalize() {
 	if r.Lib == "" {
 		r.Lib = string(r.libVariant())
 	}
+}
+
+// digest is the request's own address, the memo key in front of the
+// result cache: a sha256 over cacheKeyVersion and every field the build
+// and the cache key read — gen, verilog, top, lib and the canonical
+// options — each length-prefixed, so no two distinct requests share a
+// digest. Call it after normalize. The request-to-cache-key mapping is a
+// pure function (designs.ParseSpec and verilog.Read are deterministic, as
+// the golden digests pin), so a digest names one content address for good.
+func (r *JobRequest) digest() (string, error) {
+	canon, err := r.Options.Canonicalize()
+	if err != nil {
+		return "", err
+	}
+	oj, err := json.Marshal(canon)
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	for _, f := range []string{cacheKeyVersion, r.Gen, r.Verilog, r.Top, r.Lib, string(oj)} {
+		fmt.Fprintf(h, "%d:", len(f))
+		io.WriteString(h, f) //nolint:errcheck // hash writes never fail
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // cacheKey is the content address of this request's result: a digest over

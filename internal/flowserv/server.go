@@ -12,7 +12,8 @@
 // canonicalized options serves byte-identical artifacts for repeated
 // submissions — the cross-request analogue of ctrlnet's ModSeq
 // memoization, sound because every kernel in the repo produces identical
-// output at any worker count.
+// output at any worker count. A memo from request digest to cache entry
+// serves a byte-identical repeat without building its design at all.
 // Identical submissions racing in before a result exists are deduplicated
 // at admission: the duplicate attaches to the in-flight leader and copies
 // its terminal outcome instead of running the flow again.
@@ -217,7 +218,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	arts, err := runGuarded(jctx, j)
 	switch {
 	case err == nil:
-		s.results.put(&entry{key: j.key, artifacts: arts})
+		s.results.put(&entry{key: j.key, top: j.top, artifacts: arts}, j.digest)
 		j.finish(StateDone, "", arts, false)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.finish(StateCanceled, err.Error(), arts, false)
@@ -257,9 +258,10 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-// handleSubmit admits one job: parse, validate, build the input design,
-// compute its content address, then either serve the cached result
-// instantly or enqueue a fresh run.
+// handleSubmit admits one job: parse, validate, then serve the cached
+// result instantly when an identical request already has one (the memo),
+// else build the input design, compute its content address, and serve the
+// cached result or enqueue a fresh run.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	var req JobRequest
@@ -272,6 +274,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.normalize()
+	digest, err := req.digest()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	if s.admitMemoized(w, &req, digest) {
+		return
+	}
 	d, err := req.buildDesign()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "building input design: "+err.Error())
@@ -289,15 +299,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	id := fmt.Sprintf("j%d", s.nextID)
-	j := newJob(id, &req, key, d)
-	if e, ok := s.results.get(key); ok {
-		s.nextID++
-		s.jobs[id] = j
-		s.order = append(s.order, id)
+	j := newJob(fmt.Sprintf("j%d", s.nextID), &req, key, digest, d.Top.Name)
+	if e, ok := s.results.get(key, digest); ok {
+		s.register(j)
 		s.mu.Unlock()
-		j.finish(StateDone, "", e.artifacts, true)
-		writeJSON(w, http.StatusOK, j.status())
+		serveCached(w, j, e)
 		return
 	}
 	// Singleflight: an identical submission already queued or running
@@ -305,9 +311,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The follower terminates with the leader's outcome (including
 	// cancellation: attaching means sharing the leader's fate).
 	if leader, ok := s.inflight[key]; ok && !leader.isTerminal() {
-		s.nextID++
-		s.jobs[id] = j
-		s.order = append(s.order, id)
+		s.register(j)
 		j.attach(leader.id)
 		s.attached++
 		s.mu.Unlock()
@@ -319,11 +323,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, j.status())
 		return
 	}
+	j.design = d
 	select {
 	case s.queue <- j:
-		s.nextID++
-		s.jobs[id] = j
-		s.order = append(s.order, id)
+		s.register(j)
 		s.inflight[key] = j
 		s.mu.Unlock()
 		writeJSON(w, http.StatusAccepted, j.status())
@@ -332,6 +335,42 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("job queue full (%d queued)", s.cfg.QueueDepth))
 	}
+}
+
+// admitMemoized answers a submission whose request digest the memo maps
+// to a cached entry: the job is served from that entry without building
+// its design. It reports false, having written nothing, when the memo has
+// no entry for the digest; a draining server answers 503 first.
+func (s *Server) admitMemoized(w http.ResponseWriter, req *JobRequest, digest string) bool {
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		return true
+	}
+	e, ok := s.results.lookup(digest)
+	if !ok {
+		s.mu.Unlock()
+		return false
+	}
+	j := newJob(fmt.Sprintf("j%d", s.nextID), req, e.key, digest, e.top)
+	s.register(j)
+	s.mu.Unlock()
+	serveCached(w, j, e)
+	return true
+}
+
+// serveCached finishes j as a cache hit on e and answers 200.
+func serveCached(w http.ResponseWriter, j *job, e *entry) {
+	j.finish(StateDone, "", e.artifacts, true)
+	writeJSON(w, http.StatusOK, j.status())
+}
+
+// register admits j under the next id. The caller holds s.mu.
+func (s *Server) register(j *job) {
+	s.nextID++
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
 }
 
 // handleList reports every admitted job id in admission order — the

@@ -624,8 +624,27 @@ func TestEventStreamDeterministic(t *testing.T) {
 }
 
 // BenchmarkServeCachedSubmit is the cache-hit latency guard wired into
-// make check: submit an already-cached design over real HTTP.
+// make check: resubmit an already-cached request over real HTTP, both a
+// FIR generator request and a 256-region flat upload, the shape of the
+// serve workload's uploads.
 func BenchmarkServeCachedSubmit(b *testing.B) {
+	flat, err := designs.ParseSpec("pipeline:depth=4,width=64,kind=mix,fanout=balanced,seed=101", stdcells.New(stdcells.HighSpeed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	upload, err := json.Marshal(JobRequest{Verilog: verilog.Write(flat)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct{ name, body string }{
+		{"fir", `{"gen":"fir"}`},
+		{"flat256", string(upload)},
+	} {
+		b.Run(bc.name, func(b *testing.B) { benchCachedSubmit(b, bc.body) })
+	}
+}
+
+func benchCachedSubmit(b *testing.B, body string) {
 	s := New(Config{})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
@@ -641,7 +660,7 @@ func BenchmarkServeCachedSubmit(b *testing.B) {
 	defer func() { s.beginDrain(); <-done }()
 
 	prime := func() Status {
-		resp, err := http.Post(hs.URL+"/jobs", "application/json", strings.NewReader(`{"gen":"fir"}`))
+		resp, err := http.Post(hs.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -664,6 +683,7 @@ func BenchmarkServeCachedSubmit(b *testing.B) {
 		b.Fatalf("priming run ended %s: %s", st.State, st.Error)
 	}
 
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if st := prime(); !st.Cached {

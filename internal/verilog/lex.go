@@ -70,7 +70,8 @@ scan:
 	c := l.src[l.pos]
 	switch {
 	case c == '\\':
-		// Escaped identifier: backslash up to (exclusive) next whitespace.
+		// Escaped identifier: backslash up to (exclusive) next whitespace,
+		// sliced from the source with its backslash.
 		start := l.pos + 1
 		end := start
 		for end < len(l.src) && !isSpace(l.src[end]) {
@@ -80,7 +81,7 @@ scan:
 			return token{}, fmt.Errorf("verilog: line %d: empty escaped identifier", l.line)
 		}
 		l.pos = end
-		return token{tIdent, "\\" + l.src[start:end], l.line}, nil
+		return token{tIdent, l.src[start-1 : end], l.line}, nil
 	case isIdentStart(c):
 		start := l.pos
 		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
@@ -95,7 +96,7 @@ scan:
 		return token{tNumber, l.src[start:l.pos], l.line}, nil
 	case strings.IndexByte("()[]{},;:.=", c) >= 0:
 		l.pos++
-		return token{tPunct, string(c), l.line}, nil
+		return token{tPunct, l.src[l.pos-1 : l.pos], l.line}, nil
 	}
 	return token{}, fmt.Errorf("verilog: line %d: unexpected character %q", l.line, c)
 }
