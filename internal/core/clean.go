@@ -19,6 +19,8 @@ import (
 // optimization flow the removed buffering is not reinstated; the backend
 // re-buffers as needed (§4.7).
 func CleanLogic(m *netlist.Module) int {
+	cells := bufferCells{}
+	var insts []*netlist.Inst
 	removed := 0
 	for {
 		changed := false
@@ -27,42 +29,40 @@ func CleanLogic(m *netlist.Module) int {
 		// removal (quadratic on million-instance inputs).
 		m.BeginBulk()
 		// Pass 1: non-inverting buffers.
-		for _, in := range append([]*netlist.Inst(nil), m.Insts...) {
-			if in.Cell == nil {
-				continue
-			}
-			inv, ok := in.Cell.IsBufferLike()
-			if !ok || inv {
-				continue
-			}
-			if bypassSingleInOut(m, in) {
+		insts = append(insts[:0], m.Insts...)
+		for _, in := range insts {
+			if b := cells.of(in); b.ok && !b.inv && bypassSingleInOut(m, in, b) {
 				removed++
 				changed = true
 			}
 		}
 		// Pass 2: inverter pairs — an inverter whose entire fanout is a
 		// single second inverter, with no port on the intermediate net.
-		for _, in := range append([]*netlist.Inst(nil), m.Insts...) {
-			if m.Inst(in.Name) == nil || in.Cell == nil {
+		// Until EndBulk, m.Insts still holds this sweep's removed records,
+		// which InstByID no longer resolves.
+		insts = append(insts[:0], m.Insts...)
+		for _, in := range insts {
+			if m.InstByID(in.ID()) != in {
 				continue // already removed this sweep
 			}
-			inv, ok := in.Cell.IsBufferLike()
-			if !ok || !inv {
+			b := cells.of(in)
+			if !b.ok || !b.inv {
 				continue
 			}
-			mid := in.Conn(outPin(in))
+			mid := in.Conn(b.out)
 			if mid == nil || isPortNet(m, mid) || len(mid.Sinks) != 1 {
 				continue
 			}
 			second := mid.Sinks[0].Inst
-			if second == nil || second.Cell == nil {
+			if second == nil {
 				continue
 			}
-			if inv2, ok2 := second.Cell.IsBufferLike(); !ok2 || !inv2 {
+			b2 := cells.of(second)
+			if !b2.ok || !b2.inv {
 				continue
 			}
-			src := in.Conn(inPin(in))
-			out := second.Conn(outPin(second))
+			src := in.Conn(b.in)
+			out := second.Conn(b2.out)
 			if src == nil || out == nil {
 				continue
 			}
@@ -81,14 +81,40 @@ func CleanLogic(m *netlist.Module) int {
 	}
 }
 
+// bufferCell is what CleanLogic needs of one cell: whether it is a buffer
+// or an inverter (CellDef.IsBufferLike), and if so its input and output pin.
+type bufferCell struct {
+	ok, inv bool
+	in, out string
+}
+
+// bufferCells answers bufferCell once per cell rather than once per
+// instance and sweep: IsBufferLike builds the cell's pin lists each call.
+type bufferCells map[*netlist.CellDef]bufferCell
+
+// of returns the instance's cell's answer; a submodule instance is no buffer.
+func (c bufferCells) of(in *netlist.Inst) bufferCell {
+	if in.Cell == nil {
+		return bufferCell{}
+	}
+	b, seen := c[in.Cell]
+	if !seen {
+		if b.inv, b.ok = in.Cell.IsBufferLike(); b.ok {
+			b.in, b.out = in.Cell.Inputs()[0], in.Cell.Outputs()[0]
+		}
+		c[in.Cell] = b
+	}
+	return b
+}
+
 // bypassSingleInOut removes a buffer, moving its output sinks onto its
 // input net. Returns false when the move is unsafe (output net is a port
 // while the buffer is its only driver — the port keeps the net, so the
 // buffer stays only if input is also a port-driven... the sinks move and
 // the port rebinds; unsafe only when input and output are both ports).
-func bypassSingleInOut(m *netlist.Module, in *netlist.Inst) bool {
-	src := in.Conn(inPin(in))
-	out := in.Conn(outPin(in))
+func bypassSingleInOut(m *netlist.Module, in *netlist.Inst, b bufferCell) bool {
+	src := in.Conn(b.in)
+	out := in.Conn(b.out)
 	if src == nil || out == nil {
 		return false
 	}
@@ -103,9 +129,6 @@ func bypassSingleInOut(m *netlist.Module, in *netlist.Inst) bool {
 	_ = m.RemoveNet(out)
 	return true
 }
-
-func inPin(in *netlist.Inst) string  { return in.Cell.Inputs()[0] }
-func outPin(in *netlist.Inst) string { return in.Cell.Outputs()[0] }
 
 func isPortNet(m *netlist.Module, n *netlist.Net) bool { return portOf(m, n) != nil }
 

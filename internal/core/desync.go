@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"desync/internal/handshake"
 	"desync/internal/netlist"
@@ -49,6 +49,18 @@ func (r *Result) DisabledArcMap() map[sta.ArcKey]bool {
 // engine uses the same mapping to warn about names that would collide
 // after simplification.
 func SimpleName(s string) string {
+	out, changed := AppendSimpleName(nil, s)
+	if !changed {
+		return s
+	}
+	return string(out)
+}
+
+// AppendSimpleName appends SimpleName(s) to dst and reports true when the
+// simple form differs from s. When s is already plain it appends nothing
+// and reports false, so a caller that only needs the changed names (or
+// their hashes) can reuse one buffer and allocate nothing.
+func AppendSimpleName(dst []byte, s string) ([]byte, bool) {
 	base, idx, isBus := netlist.BusBase(s)
 	body := s
 	if isBus {
@@ -59,18 +71,22 @@ func SimpleName(s string) string {
 		first++
 	}
 	if first == len(body) {
-		return s
+		return dst, false
 	}
-	out := []byte(body)
-	for i := first; i < len(out); i++ {
-		if !plainChar(body, i) {
-			out[i] = '_'
+	dst = append(dst, body[:first]...)
+	for i := first; i < len(body); i++ {
+		if plainChar(body, i) {
+			dst = append(dst, body[i])
+		} else {
+			dst = append(dst, '_')
 		}
 	}
 	if isBus {
-		return fmt.Sprintf("%s[%d]", out, idx)
+		dst = append(dst, '[')
+		dst = strconv.AppendInt(dst, int64(idx), 10)
+		dst = append(dst, ']')
 	}
-	return string(out)
+	return dst, true
 }
 
 // plainChar reports whether the identifier byte at i may stay as it is in

@@ -57,6 +57,50 @@ func TestNetlistRulesMatchReferenceOnFixtures(t *testing.T) {
 	}
 }
 
+// TestNetlistErrorsMatchCheck: on every fixture, CheckNetlistErrors
+// reports exactly Check's Error findings, and so the same error count and
+// leading finding, without running the warning-only rules.
+func TestNetlistErrorsMatchCheck(t *testing.T) {
+	lib := stdcells.New(stdcells.HighSpeed)
+	files, err := filepath.Glob(filepath.Join("testdata", "*.v"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fixtures: %v", err)
+	}
+	errorsOf := func(r *Report) string {
+		var b strings.Builder
+		for _, f := range r.Findings {
+			if f.Severity == Error {
+				b.WriteString(f.String() + "\n")
+			}
+		}
+		return b.String()
+	}
+	warned := 0
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := verilog.Read(string(src), lib, "")
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		for _, mid := range []bool{false, true} {
+			full, errs := Check(d.Top, Options{MidFlow: mid}), CheckNetlistErrors(d.Top, mid)
+			if g, w := errorsOf(errs), errorsOf(full); g != w {
+				t.Errorf("%s (mid-flow %v): error findings\n%s\nwant\n%s", f, mid, g, w)
+			}
+			if len(errs.ByRule(RuleCone))+len(errs.ByRule(RuleName)) != 0 {
+				t.Errorf("%s: CheckNetlistErrors ran a warning-only rule:\n%s", f, errs.Text())
+			}
+			warned += len(full.ByRule(RuleCone)) + len(full.ByRule(RuleName))
+		}
+	}
+	if warned == 0 {
+		t.Error("no fixture has an NL-CONE or NL-NAME finding to leave out")
+	}
+}
+
 // TestNetlistRulesMatchReferenceThroughFlow holds the dense rules to the
 // reference at every gate a verified run lints: the imported design, each
 // StageCheck boundary and the exported design, for the case studies and a
@@ -192,6 +236,37 @@ func TestNetlistRulesMatchReferenceOnForeignNets(t *testing.T) {
 	for _, mid := range []bool{false, true} {
 		if rep := diffReference(t, "foreign net", m, mid); len(rep.ByRule(RuleCone)) != 0 {
 			t.Errorf("a gate observed through the foreign net is reported dead:\n%s", rep.Text())
+		}
+	}
+}
+
+// TestNetlistRulesMatchReferenceOnUndeclaredPin writes connections on pins
+// the cells do not declare, which only SetConnUnchecked can do. Such a
+// connection carries the direction In, yet it neither reads nor drives:
+// the inverter whose only reader is a register's undeclared pin stays a
+// dead cone, and a gate's undeclared pin on that net adds no driver.
+func TestNetlistRulesMatchReferenceOnUndeclaredPin(t *testing.T) {
+	lib := stdcells.New(stdcells.HighSpeed)
+	m := netlist.NewModule("host")
+	a := m.AddPort("a", netlist.In).Net
+	clk := m.AddPort("clk", netlist.In).Net
+	n := m.AddNet("n")
+	g := m.AddInst("g", lib.MustCell("INVX1"))
+	m.MustConnect(g, "A", a)
+	m.MustConnect(g, "Z", n)
+	r := m.AddInst("r", lib.MustCell("DFFQX1"))
+	m.MustConnect(r, "D", a)
+	m.MustConnect(r, "CK", clk)
+	m.MustConnect(r, "Q", m.AddPort("q", netlist.Out).Net)
+	r.SetConnUnchecked("X", n)
+	h := m.AddInst("h", lib.MustCell("INVX1"))
+	m.MustConnect(h, "A", a)
+	m.MustConnect(h, "Z", m.AddPort("z", netlist.Out).Net)
+	h.SetConnUnchecked("Y", n)
+	for _, mid := range []bool{false, true} {
+		rep := diffReference(t, "undeclared pins", m, mid)
+		if len(rep.ByRule(RuleCone)) != 1 || len(rep.ByRule(RuleMulti)) != 0 {
+			t.Errorf("undeclared pins read or drove a net:\n%s", rep.Text())
 		}
 	}
 }

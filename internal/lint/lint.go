@@ -215,42 +215,68 @@ type Options struct {
 }
 
 // Check runs the selected rule families over one flat module and returns
-// the sorted report. The module is not modified, with one documented
-// exception: on a design re-read from Verilog (where in-memory Group tags
-// are gone) the desync rules recover each latch's region from its enable
-// root and store it back, so the timing cross-checks can attribute budgets.
+// the sorted report: the NL-* family, then the conversion family opts
+// selects (see CheckConversion). The module is not modified, with one
+// documented exception: on a design re-read from Verilog (where in-memory
+// Group tags are gone) the desync rules recover each latch's region from
+// its enable root and store it back, so the timing cross-checks can
+// attribute budgets.
 func Check(m *netlist.Module, opts Options) *Report {
 	r := &Report{}
-	r.checkNetlist(m, opts)
+	r.checkNetlist(m, opts, false)
+	r.checkConversion(m, opts)
+	r.Sort()
+	return r
+}
+
+// CheckNetlistErrors runs only the NL-* rules whose catalog severity is
+// Error — NL-VALIDATE, NL-PIN, NL-FLOAT (not mid-flow), NL-MULTI and
+// NL-LOOP — over one module and returns the sorted report. Its Error
+// findings, and so Errors() and the leading finding when there is an error,
+// are exactly those of Check(m, Options{MidFlow: midFlow}); the
+// warning-only rules NL-CONE and NL-NAME do not run. It is the check for a
+// gate that decides on errors alone.
+func CheckNetlistErrors(m *netlist.Module, midFlow bool) *Report {
+	r := &Report{}
+	r.checkNetlist(m, Options{MidFlow: midFlow}, true)
+	r.Sort()
+	return r
+}
+
+// CheckConversion runs only the post-conversion family opts selects — DS-*
+// under Desync, TP-* under TwoPhase — and returns the sorted report.
+// Merging it with the NL-* report of the same module state and sorting
+// gives exactly Check's report, so a caller that already holds the NL-*
+// findings of that state need not compute them twice.
+func CheckConversion(m *netlist.Module, opts Options) *Report {
+	r := &Report{}
+	r.checkConversion(m, opts)
+	r.Sort()
+	return r
+}
+
+// checkConversion runs the conversion families opts selects.
+func (r *Report) checkConversion(m *netlist.Module, opts Options) {
 	if opts.Desync {
 		r.checkDesync(m, opts)
 	}
 	if opts.TwoPhase {
 		r.checkTwoPhase(m, opts)
 	}
-	r.Sort()
-	return r
 }
 
 // CheckDesign lints every module of a design with the netlist family and,
-// when requested, the top module with the desynchronization family.
+// when requested, the top module with the conversion family.
 func CheckDesign(d *netlist.Design, opts Options) *Report {
 	r := &Report{}
-	sub := opts
-	sub.Desync = false
 	for _, m := range d.Modules {
 		if m == d.Top {
 			continue
 		}
-		r.checkNetlist(m, sub)
+		r.checkNetlist(m, opts, false)
 	}
-	r.checkNetlist(d.Top, opts)
-	if opts.Desync {
-		r.checkDesync(d.Top, opts)
-	}
-	if opts.TwoPhase {
-		r.checkTwoPhase(d.Top, opts)
-	}
+	r.checkNetlist(d.Top, opts, false)
+	r.checkConversion(d.Top, opts)
 	r.Sort()
 	return r
 }

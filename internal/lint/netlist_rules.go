@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
@@ -37,8 +38,9 @@ func combDatapath(in *netlist.Inst) bool {
 	return in.Cell != nil && in.Cell.Kind == netlist.KindComb && !isControlInst(in)
 }
 
-// checkNetlist runs the NL-* family over one module.
-func (r *Report) checkNetlist(m *netlist.Module, opts Options) {
+// checkNetlist runs the NL-* family over one module; errorsOnly skips the
+// two rules whose catalog severity is Warning, NL-CONE and NL-NAME.
+func (r *Report) checkNetlist(m *netlist.Module, opts Options, errorsOnly bool) {
 	// NL-VALIDATE — structural invariants. Undriven nets are left to
 	// NL-FLOAT, which locates them properly and honors MidFlow.
 	for _, ve := range m.Validate(netlist.ValidateOptions{AllowUndriven: true}) {
@@ -52,6 +54,9 @@ func (r *Report) checkNetlist(m *netlist.Module, opts Options) {
 	v := newView(m)
 	r.checkMultiDriven(v)
 	r.checkCombLoops(v)
+	if errorsOnly {
+		return
+	}
 	r.checkDeadCones(v)
 	r.checkNameClash(m)
 }
@@ -106,15 +111,25 @@ func (v *view) isComb(in *netlist.Inst) bool {
 	return combDatapath(in)
 }
 
-// pinIs reports whether the instance's cell or submodule declares pin
-// with direction dir.
-func pinIs(in *netlist.Inst, pin string, dir netlist.PinDir) bool {
-	if in.Cell != nil {
-		pd := in.Cell.Pin(pin)
-		return pd != nil && pd.Dir == dir
+// reads reports whether pc connects a declared input pin. The rules take a
+// connection's direction from PinConn.Dir, resolved from the cell or
+// submodule when the connection was made, instead of looking the pin up by
+// name. A pin the instance does not declare (only SetConnUnchecked writes
+// one) carries In yet reads nothing, so an input connection also checks
+// the declaration, scanning the cell's few pins instead of hashing.
+func reads(in *netlist.Inst, pc netlist.PinConn) bool {
+	if pc.Dir != netlist.In {
+		return false
 	}
-	p := in.Sub.Port(pin)
-	return p != nil && p.Dir == dir
+	if in.Cell == nil {
+		return in.Sub.Port(pc.Pin) != nil
+	}
+	for i := range in.Cell.Pins {
+		if in.Cell.Pins[i].Name == pc.Pin {
+			return true
+		}
+	}
+	return false
 }
 
 // checkPins flags unconnected instance pins: inputs as errors (the gate
@@ -174,7 +189,7 @@ func (r *Report) checkMultiDriven(v *view) {
 	}
 	for _, in := range m.Insts {
 		for _, pc := range in.Conns() {
-			if pc.Net != nil && pinIs(in, pc.Pin, netlist.Out) {
+			if pc.Net != nil && pc.Dir == netlist.Out {
 				add(pc.Net)
 			}
 		}
@@ -195,7 +210,7 @@ func (r *Report) checkMultiDriven(v *view) {
 	}
 	for _, in := range m.Insts {
 		for _, pc := range in.Conns() {
-			if ds, ok := drivers[pc.Net]; ok && pinIs(in, pc.Pin, netlist.Out) {
+			if ds, ok := drivers[pc.Net]; ok && pc.Dir == netlist.Out {
 				drivers[pc.Net] = append(ds, in.Name+"/"+pc.Pin)
 			}
 		}
@@ -240,7 +255,7 @@ func (r *Report) checkCombLoops(v *view) {
 	for u, in := range nodes {
 		start[u] = int32(len(succ))
 		for _, pc := range in.Conns() {
-			if pc.Net == nil || !pinIs(in, pc.Pin, netlist.Out) {
+			if pc.Net == nil || pc.Dir != netlist.Out {
 				continue
 			}
 			for _, s := range pc.Net.Sinks {
@@ -374,7 +389,7 @@ func (r *Report) checkDeadCones(v *view) {
 	}
 	observeInputs := func(in *netlist.Inst) {
 		for _, pc := range in.Conns() {
-			if pinIs(in, pc.Pin, netlist.In) {
+			if reads(in, pc) {
 				observe(pc.Net)
 			}
 		}
@@ -424,20 +439,16 @@ func (r *Report) checkDeadCones(v *view) {
 //
 // A clash needs two distinct names with one simple form, and at most one
 // name can be its own simple form: the simple form itself. So only the
-// names SimpleName changes are collected; each group then gains its plain
-// member, if the module has one, by a name lookup.
+// names SimpleName changes can be in a clash, and clashCandidates narrows
+// them, by hash, to those that might be; each group of candidates then
+// gains its plain member, if the module has one, by a name lookup.
 func (r *Report) checkNameClash(m *netlist.Module) {
-	var nets, insts []renamed
-	for _, n := range m.Nets {
-		nets = appendRenamed(nets, n.Name)
-	}
+	nets := clashCandidates(len(m.Nets), func(i int) string { return m.Nets[i].Name })
 	r.reportClashes(m.Name, "net", nets, func(k string) bool {
 		n := m.Net(k)
 		return n != nil && n.Name == k
 	})
-	for _, in := range m.Insts {
-		insts = appendRenamed(insts, in.Name)
-	}
+	insts := clashCandidates(len(m.Insts), func(i int) string { return m.Insts[i].Name })
 	r.reportClashes(m.Name, "instance", insts, func(k string) bool {
 		in := m.Inst(k)
 		return in != nil && in.Name == k
@@ -447,11 +458,57 @@ func (r *Report) checkNameClash(m *netlist.Module) {
 // renamed is one identifier SimpleName changes, with its simple form.
 type renamed struct{ simple, name string }
 
-func appendRenamed(rs []renamed, name string) []renamed {
-	if s := core.SimpleName(name); s != name {
-		rs = append(rs, renamed{s, name})
+// nameSeed seeds the simple-form hashes. A hash only narrows the search
+// (every candidate is grouped by its simple form as a string), so the seed
+// changes no report.
+var nameSeed = maphash.MakeSeed()
+
+// clashCandidates returns the identifiers among n names (name(i) is the
+// i-th) that SimpleName changes and whose simple form hashes alike with
+// another changed name's or with an unchanged name: the only ones that can
+// clash. Each simple form is written into one scratch buffer and hashed,
+// so no string is built for a name unless it is a candidate.
+func clashCandidates(n int, name func(i int) string) []renamed {
+	type hashed struct {
+		h uint64
+		i int
 	}
-	return rs
+	var buf []byte
+	var ren []hashed // in index order
+	for i := 0; i < n; i++ {
+		var changed bool
+		if buf, changed = core.AppendSimpleName(buf[:0], name(i)); changed {
+			ren = append(ren, hashed{maphash.Bytes(nameSeed, buf), i})
+		}
+	}
+	if len(ren) == 0 {
+		return nil
+	}
+	// shared counts the changed names per hash, saturating at two; an
+	// unchanged name with a hash already there takes it to two as well.
+	shared := make(map[uint64]uint8, len(ren))
+	for _, x := range ren {
+		shared[x.h] = min(shared[x.h]+1, 2)
+	}
+	next := 0
+	for i := 0; i < n; i++ {
+		if next < len(ren) && ren[next].i == i {
+			next++
+			continue
+		}
+		h := maphash.String(nameSeed, name(i))
+		if shared[h] == 1 {
+			shared[h] = 2
+		}
+	}
+	var out []renamed
+	for _, x := range ren {
+		if shared[x.h] == 2 {
+			s := name(x.i)
+			out = append(out, renamed{core.SimpleName(s), s})
+		}
+	}
+	return out
 }
 
 // reportClashes groups the renamed identifiers of one kind by simple form

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"desync/internal/core"
-	"desync/internal/ctrlnet"
 	"desync/internal/equiv"
 	"desync/internal/faults"
 	"desync/internal/lint"
@@ -30,7 +29,11 @@ func (r *runner) gates(ctx context.Context) error {
 	} else {
 		lopts.TwoPhase = true
 	}
-	r.Lint = lint.Check(d.Top, lopts)
+	// The NL-* half is the Export boundary's report of this same state;
+	// merged with the conversion family and sorted, it is lint.Check's.
+	r.Lint = lint.CheckConversion(d.Top, lopts)
+	r.Lint.Merge(r.nl.netlistReport(d.Top).Findings)
+	r.Lint.Sort()
 	v := Verdict{Step: GateLint, Status: Ran, Reason: "post-export lint clean"}
 	if len(res.UnderMargin) > 0 {
 		// The margin retries ran out and the run ships under margin. The
@@ -64,7 +67,8 @@ func (r *runner) gates(ctx context.Context) error {
 		return nil
 	}
 
-	if err := r.staticGate(); err != nil {
+	model, err := r.staticGate()
+	if err != nil {
 		return err
 	}
 	if r.opts.Equiv {
@@ -78,7 +82,7 @@ func (r *runner) gates(ctx context.Context) error {
 		if est := mga.StateEstimate(r.Static.Regions); est > uint64(budget) {
 			r.decide(Verdict{Step: GateEquiv, Status: Downgraded, Reason: fmt.Sprintf(
 				"state estimate %d exceeds the %d-marking budget; static verdicts stand alone", est, budget)})
-		} else if err := r.equivGate(ctx, d, res.Network); err != nil {
+		} else if err := r.equivGate(ctx, d, model); err != nil {
 			return err
 		}
 	}
@@ -91,33 +95,30 @@ func (r *runner) gates(ctx context.Context) error {
 // staticGate is the always-on structural gate: liveness, place bounds, the
 // request-vs-data cross-check and the static period bound of the inserted
 // control network's marked graph, in polynomial time. Its report also
-// sizes the equiv gate's reach.
-func (r *runner) staticGate() error {
+// sizes the equiv gate's reach. It returns the control-network model it
+// extracted, which the equiv gate explores without extracting it again.
+func (r *runner) staticGate() (*equiv.Model, error) {
 	d := r.Design
 	v := Verdict{Step: GateStatic, Status: Ran, Reason: "liveness, safety and period verdicts clean"}
-	rep, err := mga.Analyze(d.Top, r.Result.Network, mga.Options{})
+	m, err := equiv.FromNetwork(d.Top, r.Result.Network)
 	if err != nil {
-		return stageError(core.StageStatic, d, "static marked-graph gate", r.fail(v, err))
+		return nil, stageError(core.StageStatic, d, "static marked-graph gate", r.fail(v, err))
 	}
-	r.Static = rep
-	if err := r.gate(v, rep.LintReport(rep.ModelFindings)); err != nil {
-		return stageError(core.StageStatic, d, "static marked-graph gate", err)
+	r.Static = mga.AnalyzeModel(d.Top, r.Result.Network, m, mga.Options{})
+	if err := r.gate(v, r.Static.LintReport(r.Static.ModelFindings)); err != nil {
+		return nil, stageError(core.StageStatic, d, "static marked-graph gate", err)
 	}
-	return nil
+	return m, nil
 }
 
-// equivGate compiles the control network into the token-marking model and
-// model-checks deadlock-freedom, phase safety and flow equivalence,
-// optionally cross-validated against randomized simulator traces. A
-// disproved property fails the run; the report keeps the counterexample.
-func (r *runner) equivGate(ctx context.Context, d *netlist.Design, cn *ctrlnet.Network) error {
+// equivGate model-checks the token-marking model of the control network
+// for deadlock-freedom, phase safety and flow equivalence, optionally
+// cross-validated against randomized simulator traces. A disproved
+// property fails the run; the report keeps the counterexample.
+func (r *runner) equivGate(ctx context.Context, d *netlist.Design, m *equiv.Model) error {
 	v := Verdict{Step: GateEquiv, Status: Ran, Reason: "deadlock-freedom, phase safety and flow equivalence clean"}
 	fail := func(err error) error {
 		return stageError(core.StageEquiv, d, "formal verification gate", r.fail(v, err))
-	}
-	m, err := equiv.FromNetwork(d.Top, cn)
-	if err != nil {
-		return fail(err)
 	}
 	res, err := m.Explore(ctx, equiv.ExploreOptions{MaxStates: r.opts.EquivMaxStates})
 	if err != nil {

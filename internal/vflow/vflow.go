@@ -121,6 +121,8 @@ const maxMarginRetries = 3
 type runner struct {
 	opts Options
 	*Outcome
+	// nl is the current attempt's record of its NL-* lint passes.
+	nl netlistLint
 }
 
 // Run builds, converts and verifies one design. build is called once per
@@ -156,12 +158,15 @@ func (r *runner) convert(ctx context.Context, build func() (*netlist.Design, err
 			return err
 		}
 		r.Verdicts = nil // each attempt decides its gates afresh
+		r.nl = netlistLint{}
 		// Pre-import gate: reject structurally broken inputs before the
 		// heavy pipeline touches them.
 		pre := lint.CheckDesign(d, lint.Options{})
+		testLintPass(true)
 		if err := r.gate(Verdict{Step: GatePreImport, Status: Ran, Reason: "lint clean"}, pre); err != nil {
 			return err
 		}
+		r.nl.passed(d.Top)
 		o := flow
 		if singleRegion {
 			for _, in := range d.Top.Insts {
@@ -173,11 +178,7 @@ func (r *runner) convert(ctx context.Context, build func() (*netlist.Design, err
 		// static netlist rules, so a stage that corrupts the structure is
 		// caught at its own boundary, not at export.
 		o.StageCheck = func(stage string, midFlow bool) error {
-			rep := lint.Check(d.Top, lint.Options{MidFlow: midFlow})
-			if n := rep.Errors(); n > 0 {
-				return fmt.Errorf("lint: %d error(s), first: %s", n, rep.Findings[0])
-			}
-			return nil
+			return r.nl.stageCheck(d.Top, stage, midFlow)
 		}
 		res, err := core.Convert(ctx, d, o)
 		switch {
@@ -197,6 +198,74 @@ func (r *runner) convert(ctx context.Context, build func() (*netlist.Design, err
 		}
 	}
 }
+
+// netlistLint lints each netlist state of one attempt once, and only for
+// what the gate reading it needs:
+//
+//   - the mid-flow boundaries (Import, Clean, Substitute) decide on the
+//     error count and the leading finding alone, so they run only the
+//     Error rules (lint.CheckNetlistErrors), which leave both unchanged;
+//   - a mid-flow boundary whose module is the one the last error-free pass
+//     linted, at the same ModSeq, is not linted again: every pass here runs
+//     at least the Error rules under mid-flow relaxation, so that pass
+//     already decided it (the Import boundary after the pre-import gate,
+//     a Clean that removed nothing). Like netlist.Validate's own shortcut,
+//     this trusts that edits go through the netlist mutators;
+//   - the Export boundary runs the full NL-* family and keeps the report,
+//     which the post-export gate merges with the conversion family instead
+//     of a second NL-* pass over the same state.
+type netlistLint struct {
+	clean  lintState    // the last pass without an error finding
+	export lintState    // the Export boundary's pass
+	nl     *lint.Report // the Export boundary's full NL-* report
+}
+
+// lintState names one netlist state: a module at a ModSeq.
+type lintState struct {
+	m   *netlist.Module
+	seq uint64
+}
+
+func stateOf(m *netlist.Module) lintState { return lintState{m, m.ModSeq()} }
+
+// passed records that m's current state has no NL-* error.
+func (l *netlistLint) passed(m *netlist.Module) { l.clean = stateOf(m) }
+
+// stageCheck is the per-stage gate core.Convert calls at each Validate
+// boundary.
+func (l *netlistLint) stageCheck(m *netlist.Module, stage string, midFlow bool) error {
+	var rep *lint.Report
+	switch {
+	case stage == core.StageExport:
+		rep = lint.Check(m, lint.Options{MidFlow: midFlow})
+		testLintPass(true)
+		l.export, l.nl = stateOf(m), rep
+	case midFlow && l.clean == stateOf(m):
+		return nil
+	default:
+		rep = lint.CheckNetlistErrors(m, midFlow)
+		testLintPass(false)
+	}
+	if n := rep.Errors(); n > 0 {
+		return fmt.Errorf("lint: %d error(s), first: %s", n, rep.Findings[0])
+	}
+	l.passed(m)
+	return nil
+}
+
+// netlistReport returns the full NL-* report of m's current state: the
+// Export boundary's when m has not changed since, else a fresh pass.
+func (l *netlistLint) netlistReport(m *netlist.Module) *lint.Report {
+	if l.nl != nil && l.export == stateOf(m) {
+		return l.nl
+	}
+	testLintPass(true)
+	return lint.Check(m, lint.Options{})
+}
+
+// testLintPass is called once per NL-* pass a run makes, with whether the
+// pass ran the full family; tests replace it to count them.
+var testLintPass = func(full bool) {}
 
 // decide records and reports a gate verdict.
 func (r *runner) decide(v Verdict) {

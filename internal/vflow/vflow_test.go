@@ -263,8 +263,12 @@ func TestEquivGateFailsBrokenNetwork(t *testing.T) {
 	}
 	f.Desync.Top.Disconnect(ai, "Z")
 
+	m, err := equiv.FromNetwork(f.Desync.Top, ctrlnet.Derive(f.Desync.Top))
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := &runner{opts: Options{OnVerdict: func(Verdict) {}}, Outcome: &Outcome{}}
-	err = r.equivGate(context.Background(), f.Desync, ctrlnet.Derive(f.Desync.Top))
+	err = r.equivGate(context.Background(), f.Desync, m)
 	if err == nil {
 		t.Fatal("equiv gate passed a deadlocking network")
 	}
