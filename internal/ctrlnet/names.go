@@ -1,7 +1,7 @@
 package ctrlnet
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"desync/internal/handshake"
@@ -39,7 +39,7 @@ func Region(name string) (int, bool) { return handshake.ControlRegion(name) }
 // nets (Name(g, "mri")), enable nets (Name(g, "gm")), rendezvous nets
 // (Name(g, "reqjoin"), Name(g, "sao")), environment ports
 // (Name(g, "env_ri")).
-func Name(g int, suffix string) string { return fmt.Sprintf("G%d_%s", g, suffix) }
+func Name(g int, suffix string) string { return "G" + strconv.Itoa(g) + "_" + suffix }
 
 // CtrlPrefix returns the instance-name prefix of region g's master or slave
 // controller ("G<g>_Mctrl" / "G<g>_Sctrl").
@@ -65,7 +65,7 @@ func MSDelayPrefix(g int) string { return Name(g, "deMS") }
 
 // ChainStage returns the i-th AND stage (1-based) of a delay-element chain,
 // e.g. ChainStage(DelayPrefix(3), 1) == "G3_delem/a1".
-func ChainStage(prefix string, i int) string { return fmt.Sprintf("%s/a%d", prefix, i) }
+func ChainStage(prefix string, i int) string { return prefix + "/a" + strconv.Itoa(i) }
 
 // CTreePrefix returns region g's request or acknowledge C-Muller rendezvous
 // tree instance prefix.

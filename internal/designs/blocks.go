@@ -7,6 +7,7 @@ package designs
 
 import (
 	"fmt"
+	"strconv"
 
 	"desync/internal/netlist"
 )
@@ -40,7 +41,7 @@ type Bus []*netlist.Net
 func (b *Builder) NewBus(base string, width int) Bus {
 	out := make(Bus, width)
 	for i := range out {
-		out[i] = b.M.AddNet(fmt.Sprintf("%s[%d]", base, i))
+		out[i] = b.M.AddNet(netlist.BusBit(base, i))
 	}
 	return out
 }
@@ -49,7 +50,7 @@ func (b *Builder) NewBus(base string, width int) Bus {
 func (b *Builder) InputBus(base string, width int) Bus {
 	out := make(Bus, width)
 	for i := range out {
-		out[i] = b.M.AddPort(fmt.Sprintf("%s[%d]", base, i), netlist.In).Net
+		out[i] = b.M.AddPort(netlist.BusBit(base, i), netlist.In).Net
 	}
 	return out
 }
@@ -58,7 +59,7 @@ func (b *Builder) InputBus(base string, width int) Bus {
 func (b *Builder) OutputBus(base string, width int) Bus {
 	out := make(Bus, width)
 	for i := range out {
-		out[i] = b.M.AddPort(fmt.Sprintf("%s[%d]", base, i), netlist.Out).Net
+		out[i] = b.M.AddPort(netlist.BusBit(base, i), netlist.Out).Net
 	}
 	return out
 }
@@ -68,7 +69,7 @@ func (b *Builder) OutputBus(base string, width int) Bus {
 func (b *Builder) Gate(cell string, nets ...*netlist.Net) *netlist.Inst {
 	c := b.Lib.MustCell(cell)
 	b.n++
-	in := b.M.AddInst(fmt.Sprintf("u%d_%s", b.n, cell), c)
+	in := b.M.AddInst("u"+strconv.Itoa(b.n)+"_"+cell, c)
 	if len(nets) != len(c.Pins) {
 		panic(fmt.Sprintf("designs: %s takes %d nets, got %d", cell, len(c.Pins), len(nets)))
 	}
@@ -83,7 +84,7 @@ func (b *Builder) Gate(cell string, nets ...*netlist.Net) *netlist.Inst {
 // fresh returns an anonymous intermediate net.
 func (b *Builder) fresh() *netlist.Net {
 	b.n++
-	return b.M.AddNet(fmt.Sprintf("n%d", b.n))
+	return b.M.AddNet("n" + strconv.Itoa(b.n))
 }
 
 // Tie returns the constant net for v, creating the tie cell on first use.
@@ -298,7 +299,7 @@ func (b *Builder) BitwiseOp(cell string, a, c Bus) Bus {
 func (b *Builder) RegBank(name string, d Bus, clk, rstn *netlist.Net, qBase string) Bus {
 	q := b.NewBus(qBase, len(d))
 	for i := range d {
-		ff := b.M.AddInst(fmt.Sprintf("%s[%d]", name, i), b.Lib.MustCell("DFFRQX1"))
+		ff := b.M.AddInst(netlist.BusBit(name, i), b.Lib.MustCell("DFFRQX1"))
 		b.M.MustConnect(ff, "D", d[i])
 		b.M.MustConnect(ff, "CK", clk)
 		b.M.MustConnect(ff, "RN", rstn)

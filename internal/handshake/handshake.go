@@ -20,6 +20,7 @@ package handshake
 
 import (
 	"fmt"
+	"strconv"
 
 	"desync/internal/netlist"
 )
@@ -176,13 +177,13 @@ func AddCTree(m *netlist.Module, lib *netlist.Library, prefix string, inputs []*
 			}
 			dst := out
 			if !(len(next) == 0 && rem == take) {
-				dst = m.AddNet(fmt.Sprintf("%s/t%d", prefix, cells))
+				dst = m.AddNet(prefix + "/t" + strconv.Itoa(cells))
 			}
 			cd, err := lib.Cell(cellName)
 			if err != nil {
 				return cells, fmt.Errorf("handshake: C tree %s: %w", prefix, err)
 			}
-			c := m.AddInst(fmt.Sprintf("%s/c%d", prefix, cells), cd)
+			c := m.AddInst(prefix+"/c"+strconv.Itoa(cells), cd)
 			c.SizeOnly = true
 			c.Origin = "ctrl"
 			cells++
@@ -236,8 +237,8 @@ func AddDelayElement(m *netlist.Module, lib *netlist.Library, prefix string, in,
 	taps := map[int]*netlist.Net{}
 	prev := in
 	for lvl := 1; lvl <= spec.Levels; lvl++ {
-		dst := m.AddNet(fmt.Sprintf("%s/d%d", prefix, lvl))
-		g := m.AddInst(fmt.Sprintf("%s/a%d", prefix, lvl), and)
+		dst := m.AddNet(prefix + "/d" + strconv.Itoa(lvl))
+		g := m.AddInst(prefix+"/a"+strconv.Itoa(lvl), and)
 		g.SizeOnly = true
 		g.Origin = "delem"
 		for _, c := range []struct {
@@ -302,9 +303,9 @@ func AddDelayElement(m *netlist.Module, lib *netlist.Library, prefix string, in,
 			}
 			dst := out
 			if !(len(next) == 0 && len(level) == 2) {
-				dst = m.AddNet(fmt.Sprintf("%s/m%d", prefix, muxes))
+				dst = m.AddNet(prefix + "/m" + strconv.Itoa(muxes))
 			}
-			g := m.AddInst(fmt.Sprintf("%s/mx%d", prefix, muxes), mux)
+			g := m.AddInst(prefix+"/mx"+strconv.Itoa(muxes), mux)
 			g.SizeOnly = true
 			g.Origin = "delem"
 			muxes++
@@ -341,9 +342,9 @@ func AddSymmetricDelayElement(m *netlist.Module, lib *netlist.Library, prefix st
 	for i := 1; i <= levels; i++ {
 		dst := out
 		if i != levels {
-			dst = m.AddNet(fmt.Sprintf("%s/s%d", prefix, i))
+			dst = m.AddNet(prefix + "/s" + strconv.Itoa(i))
 		}
-		g := m.AddInst(fmt.Sprintf("%s/b%d", prefix, i), buf)
+		g := m.AddInst(prefix+"/b"+strconv.Itoa(i), buf)
 		g.SizeOnly = true
 		g.Origin = "delem"
 		if err := m.Connect(g, "A", prev); err != nil {

@@ -3,6 +3,7 @@ package netlist
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -67,6 +68,10 @@ func BusBase(name string) (base string, index int, ok bool) {
 	return name[:i], idx, true
 }
 
+// BusBit returns the bit-blasted name of bit index of a bus: "base[index]",
+// the form BusBase splits.
+func BusBit(base string, index int) string { return base + "[" + strconv.Itoa(index) + "]" }
+
 // Inst is an instance of a library cell or of a submodule (exactly one of
 // Cell and Sub is non-nil). Connections are stored as an ordered list carved
 // from the module's connection arena; read them with Conn/Conns. Records are
@@ -124,17 +129,17 @@ type Port struct {
 // Nets and Insts are the dense, insertion-ordered record views; they are
 // maintained by the mutators and must be treated as read-only by consumers.
 // Underneath, records live in slab chunks, carry dense NetID/InstID handles,
-// and are indexed by interned-name tables mapping names to IDs.
+// and are found by name through one pointer-free nameIndex per record kind.
 type Module struct {
 	Name  string
 	Ports []*Port
 	Nets  []*Net
 	Insts []*Inst
 
-	netByName  map[string]NetID
-	instByName map[string]InstID
-	netsByID   []*Net  // dense by NetID; nil after removal
-	instsByID  []*Inst // dense by InstID; nil after removal
+	netNames  nameIndex
+	instNames nameIndex
+	netsByID  []*Net  // dense by NetID; nil after removal
+	instsByID []*Inst // dense by InstID; nil after removal
 
 	netRecs  slab[Net]
 	instRecs slab[Inst]
@@ -162,32 +167,53 @@ func (m *Module) ModSeq() uint64 { return m.modseq }
 
 // NewModule returns an empty module.
 func NewModule(name string) *Module {
-	return &Module{
-		Name:       name,
-		netByName:  map[string]NetID{},
-		instByName: map[string]InstID{},
-	}
+	return &Module{Name: name}
+}
+
+// findNet probes the net index for name: the net's ID, or NoNet and the
+// slot and hash an insert of name claims.
+func (m *Module) findNet(name string) (NetID, int, uint32) {
+	id, pos, h := m.netNames.find(name, func(id int32) bool {
+		n := m.netsByID[id]
+		return n != nil && n.Name == name
+	})
+	return NetID(id), pos, h
+}
+
+// findInst is the instance counterpart of findNet.
+func (m *Module) findInst(name string) (InstID, int, uint32) {
+	id, pos, h := m.instNames.find(name, func(id int32) bool {
+		in := m.instsByID[id]
+		return in != nil && in.Name == name
+	})
+	return InstID(id), pos, h
 }
 
 // AddNet creates a new named net. It is an error (panic) to reuse a name.
 func (m *Module) AddNet(name string) *Net {
-	if _, dup := m.netByName[name]; dup {
+	id, pos, h := m.findNet(name)
+	if id != NoNet {
 		panic(fmt.Sprintf("netlist: duplicate net %q in module %s", name, m.Name))
 	}
+	return m.addNet(name, pos, h)
+}
+
+// addNet creates the net after findNet missed name at slot pos.
+func (m *Module) addNet(name string, pos int, h uint32) *Net {
 	m.modseq++
 	n := m.netRecs.alloc()
 	n.Name = name
 	n.id = NetID(len(m.netsByID))
 	m.netsByID = append(m.netsByID, n)
 	m.Nets = append(m.Nets, n)
-	m.netByName[name] = n.id
+	m.netNames.insert(name, int32(n.id), pos, h)
 	return n
 }
 
 // Net returns the named net or nil.
 func (m *Module) Net(name string) *Net {
-	id, ok := m.netByName[name]
-	if !ok {
+	id, _, _ := m.findNet(name)
+	if id == NoNet {
 		return nil
 	}
 	return m.netsByID[id]
@@ -195,10 +221,11 @@ func (m *Module) Net(name string) *Net {
 
 // EnsureNet returns the named net, creating it if needed.
 func (m *Module) EnsureNet(name string) *Net {
-	if n := m.Net(name); n != nil {
-		return n
+	id, pos, h := m.findNet(name)
+	if id != NoNet {
+		return m.netsByID[id]
 	}
-	return m.AddNet(name)
+	return m.addNet(name, pos, h)
 }
 
 // AddPort declares a module port and binds it to a same-named net (creating
@@ -257,7 +284,8 @@ func (m *Module) AddSubInst(name string, sub *Module) *Inst {
 }
 
 func (m *Module) addInst(name string, cell *CellDef, sub *Module, pins int) *Inst {
-	if _, dup := m.instByName[name]; dup {
+	id, pos, h := m.findInst(name)
+	if id != NoInst {
 		panic(fmt.Sprintf("netlist: duplicate instance %q in module %s", name, m.Name))
 	}
 	m.modseq++
@@ -271,14 +299,14 @@ func (m *Module) addInst(name string, cell *CellDef, sub *Module, pins int) *Ins
 	in.id = InstID(len(m.instsByID))
 	m.instsByID = append(m.instsByID, in)
 	m.Insts = append(m.Insts, in)
-	m.instByName[name] = in.id
+	m.instNames.insert(name, int32(in.id), pos, h)
 	return in
 }
 
 // Inst returns the named instance or nil.
 func (m *Module) Inst(name string) *Inst {
-	id, ok := m.instByName[name]
-	if !ok {
+	id, _, _ := m.findInst(name)
+	if id == NoInst {
 		return nil
 	}
 	return m.instsByID[id]
@@ -377,16 +405,18 @@ func (m *Module) DisconnectSinks(net *Net, drop func(PinRef) bool) {
 
 // RemoveInst removes the instance and all its connections. Inside a
 // BeginBulk/EndBulk section the Insts array is compacted once at EndBulk;
-// outside, the removal splices immediately.
+// outside, the removal splices immediately. An instance the module does not
+// hold (another module's, or one already removed) is left alone.
 func (m *Module) RemoveInst(in *Inst) {
+	if !m.containsInst(in) {
+		return
+	}
 	for len(in.conns) > 0 {
 		m.Disconnect(in, in.conns[len(in.conns)-1].Pin)
 	}
 	m.modseq++
-	delete(m.instByName, in.Name)
-	if m.containsInst(in) {
-		m.instsByID[in.id] = nil
-	}
+	m.instNames.remove(in.Name, int32(in.id))
+	m.instsByID[in.id] = nil
 	in.dead = true
 	if m.bulkDepth > 0 {
 		m.deadInsts++
@@ -403,14 +433,15 @@ func (m *Module) RemoveInst(in *Inst) {
 // RemoveNet removes an unconnected net. Inside a bulk section the Nets
 // array is compacted at EndBulk.
 func (m *Module) RemoveNet(n *Net) error {
+	if !m.containsNet(n) {
+		return m.foreignNet(n)
+	}
 	if n.HasDriver() || len(n.Sinks) > 0 {
 		return fmt.Errorf("netlist: net %s still connected", n.Name)
 	}
 	m.modseq++
-	delete(m.netByName, n.Name)
-	if m.containsNet(n) {
-		m.netsByID[n.id] = nil
-	}
+	m.netNames.remove(n.Name, int32(n.id))
+	m.netsByID[n.id] = nil
 	n.dead = true
 	if m.bulkDepth > 0 {
 		m.deadNets++
@@ -428,14 +459,23 @@ func (m *Module) RemoveNet(n *Net) error {
 // RenameNet changes a net's name, keeping lookups consistent. The new name
 // must be free.
 func (m *Module) RenameNet(n *Net, name string) error {
-	if _, taken := m.netByName[name]; taken {
+	if !m.containsNet(n) {
+		return m.foreignNet(n)
+	}
+	if id, _, _ := m.findNet(name); id != NoNet {
 		return fmt.Errorf("netlist: net name %q already in use", name)
 	}
 	m.modseq++
-	delete(m.netByName, n.Name)
+	m.netNames.remove(n.Name, int32(n.id))
 	n.Name = name
-	m.netByName[name] = n.id
+	_, pos, h := m.findNet(name)
+	m.netNames.insert(name, int32(n.id), pos, h)
 	return nil
+}
+
+// foreignNet is the error for a net the module does not hold.
+func (m *Module) foreignNet(n *Net) error {
+	return fmt.Errorf("netlist: net %s is not in module %s", n.Name, m.Name)
 }
 
 // ReplaceSinks moves every sink of from onto to (drivers are untouched).

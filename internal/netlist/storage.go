@@ -1,13 +1,18 @@
 package netlist
 
+import "hash/maphash"
+
 // Index-based storage underneath the pointer-style API. The module's record
 // arrays are slab-allocated (pointers into fixed-capacity chunks stay valid
 // for the module's lifetime, and a million-record module costs hundreds of
 // allocations instead of millions), every record carries a dense ID handle
-// assigned at creation and never reused, and the name indices map interned
-// name strings to IDs rather than pointers. Consumers keep the `*Net`/`*Inst`
-// view; ID-addressed access (`NetByID`, `InstByID`, per-record `ID()`) is the
-// index layer analyses build adjacency and scratch tables on.
+// assigned at creation and never reused, and each record kind has a
+// pointer-free name index (nameIndex): slots hold a seeded 32-bit name hash
+// and an ID, and a probe confirms a hash match against the record's own
+// Name, so the index keeps no string and the GC never scans it. Consumers
+// keep the `*Net`/`*Inst` view; ID-addressed access (`NetByID`, `InstByID`,
+// per-record `ID()`) is the index layer analyses build adjacency and scratch
+// tables on.
 
 // NetID is a dense handle for a net within its module: IDs are assigned in
 // creation order starting at 0 and are never reused after removal, so a
@@ -41,6 +46,118 @@ func (s *slab[T]) alloc() *T {
 	c := &s.chunks[len(s.chunks)-1]
 	*c = append(*c, *new(T))
 	return &(*c)[len(*c)-1]
+}
+
+// nameIndex maps the names of one record kind to their IDs. It is an
+// open-addressed table of power-of-two size: each slot packs a 32-bit
+// hash/maphash hash of the name (high half) and ID+1 (low half), and 0 marks
+// an empty slot. Collisions probe linearly, the load stays at most one half,
+// and a deletion shifts the rest of its probe run back instead of leaving a
+// tombstone. Growth re-places slots by their stored hash, so no string is
+// hashed twice. The table and its seed are made on the first insert; the
+// seed differs per table, so a client that picks names cannot aim them at
+// one probe run. Names live only in the records: every probe that meets the
+// name's hash confirms it against the record's own Name through match.
+type nameIndex struct {
+	slots []uint64
+	count int
+	seed  maphash.Seed
+}
+
+// minIndexSlots is a table's size at its first insert.
+const minIndexSlots = 16
+
+// hash returns the low 32 bits of name's hash under the table's seed.
+func (x *nameIndex) hash(name string) uint32 {
+	return uint32(maphash.String(x.seed, name))
+}
+
+// find returns the ID that name maps to, with its slot and hash. On a miss
+// it returns -1 and the empty slot that ends the name's probe run, which
+// insert claims (-1 when the table is not yet made). match(id) reports
+// whether the live record id is named name.
+func (x *nameIndex) find(name string, match func(id int32) bool) (id int32, pos int, h uint32) {
+	if x.slots == nil {
+		return -1, -1, 0
+	}
+	h = x.hash(name)
+	mask := len(x.slots) - 1
+	for pos = int(h) & mask; ; pos = (pos + 1) & mask {
+		s := x.slots[pos]
+		if s == 0 {
+			return -1, pos, h
+		}
+		if uint32(s>>32) == h && match(int32(uint32(s))-1) {
+			return int32(uint32(s)) - 1, pos, h
+		}
+	}
+}
+
+// insert maps name to id in the slot a missed find returned (pos, h),
+// growing the table first if the insert would load it past one half.
+func (x *nameIndex) insert(name string, id int32, pos int, h uint32) {
+	switch {
+	case x.slots == nil:
+		x.seed = maphash.MakeSeed()
+		x.slots = make([]uint64, minIndexSlots)
+		h = x.hash(name)
+		pos = x.free(h)
+	case 2*(x.count+1) > len(x.slots):
+		x.grow()
+		pos = x.free(h)
+	}
+	x.slots[pos] = uint64(h)<<32 | uint64(uint32(id+1))
+	x.count++
+}
+
+// free returns the first empty slot of hash h's probe run.
+func (x *nameIndex) free(h uint32) int {
+	mask := len(x.slots) - 1
+	pos := int(h) & mask
+	for x.slots[pos] != 0 {
+		pos = (pos + 1) & mask
+	}
+	return pos
+}
+
+// grow doubles the table, re-placing every slot by its stored hash.
+func (x *nameIndex) grow() {
+	old := x.slots
+	x.slots = make([]uint64, 2*len(old))
+	for _, s := range old {
+		if s != 0 {
+			x.slots[x.free(uint32(s>>32))] = s
+		}
+	}
+}
+
+// remove drops the slot that maps name to id, if there is one, and shifts
+// back each later entry of its probe run that may move into the gap.
+func (x *nameIndex) remove(name string, id int32) {
+	if x.slots == nil {
+		return
+	}
+	h := x.hash(name)
+	want := uint64(h)<<32 | uint64(uint32(id+1))
+	mask := len(x.slots) - 1
+	i := int(h) & mask
+	for x.slots[i] != want {
+		if x.slots[i] == 0 {
+			return
+		}
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; x.slots[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the gap at i unless its home slot lies
+		// cyclically after i and at or before j.
+		home := int(uint32(x.slots[j]>>32)) & mask
+		if (j-home)&mask >= (j-i)&mask {
+			x.slots[i] = x.slots[j]
+			i = j
+		}
+	}
+	x.slots[i] = 0
+	x.count--
 }
 
 // connChunkSize is the PinConn entry count per connection-arena chunk.

@@ -169,20 +169,32 @@ func dupPortRefs(refs []PinRef) bool {
 	return false
 }
 
+// netIndexed reports whether the name index finds n under its current name.
+func (m *Module) netIndexed(n *Net) bool {
+	id, _, _ := m.findNet(n.Name)
+	return id != NoNet && m.netsByID[id] == n
+}
+
+// instIndexed is the instance counterpart of netIndexed.
+func (m *Module) instIndexed(in *Inst) bool {
+	id, _, _ := m.findInst(in.Name)
+	return id != NoInst && m.instsByID[id] == in
+}
+
 // cleanScan is the allocation-free full cleanliness check: true means the
 // module would produce zero validation errors. Any anomaly returns false
 // and the caller runs the diagnostic pass.
 func (m *Module) cleanScan(allowUndriven bool) bool {
-	if len(m.netByName) != len(m.Nets) || len(m.instByName) != len(m.Insts) {
+	if m.netNames.count != len(m.Nets) || m.instNames.count != len(m.Insts) {
 		return false
 	}
 	for _, n := range m.Nets {
-		if id, ok := m.netByName[n.Name]; !ok || m.netsByID[id] != n {
+		if !m.netIndexed(n) {
 			return false
 		}
 	}
 	for _, in := range m.Insts {
-		if id, ok := m.instByName[in.Name]; !ok || m.instsByID[id] != in {
+		if !m.instIndexed(in) {
 			return false
 		}
 		if (in.Cell == nil) == (in.Sub == nil) {
@@ -238,22 +250,22 @@ func (m *Module) validateFull(opts ValidateOptions) []ValidationError {
 	inNets := make(map[*Net]bool, len(m.Nets))
 	for _, n := range m.Nets {
 		inNets[n] = true
-		if id, ok := m.netByName[n.Name]; !ok || m.netsByID[id] != n {
+		if !m.netIndexed(n) {
 			report(VRuleIndex, "net %q missing from or mismatched in the name index", n.Name)
 		}
 	}
-	if len(m.netByName) != len(m.Nets) {
-		report(VRuleIndex, "net index has %d entries for %d nets", len(m.netByName), len(m.Nets))
+	if m.netNames.count != len(m.Nets) {
+		report(VRuleIndex, "net index has %d entries for %d nets", m.netNames.count, len(m.Nets))
 	}
 	inInsts := make(map[*Inst]bool, len(m.Insts))
 	for _, in := range m.Insts {
 		inInsts[in] = true
-		if id, ok := m.instByName[in.Name]; !ok || m.instsByID[id] != in {
+		if !m.instIndexed(in) {
 			report(VRuleIndex, "instance %q missing from or mismatched in the name index", in.Name)
 		}
 	}
-	if len(m.instByName) != len(m.Insts) {
-		report(VRuleIndex, "instance index has %d entries for %d instances", len(m.instByName), len(m.Insts))
+	if m.instNames.count != len(m.Insts) {
+		report(VRuleIndex, "instance index has %d entries for %d instances", m.instNames.count, len(m.Insts))
 	}
 
 	// Ports bind to nets of this module.

@@ -23,7 +23,10 @@ import (
 //
 // fold may return an error to stop the sweep early (a graceful cutoff such
 // as "too many failures"); that error is returned as-is, no further fold
-// calls happen, and in-flight computes are cancelled. A compute error also
+// calls happen, and in-flight computes are cancelled. Once ctx is cancelled
+// (by the caller, or by fold itself through the caller's cancel func) no
+// further fold calls happen either, as in the serial path, even for results
+// already computed; Fold then returns ctx.Err(). A compute error also
 // stops the fold — results already folded stay folded (the journal keeps a
 // valid prefix), and the error returned is deterministic ForEach-style: the
 // lowest-index compute error that is not a cancellation echo. Because the
@@ -109,7 +112,7 @@ func Fold[R any](ctx context.Context, start, n int, compute func(ctx context.Con
 			continue // draining after a stop: never fold past the first error
 		}
 		pending[s.i] = s
-		for {
+		for ctx.Err() == nil {
 			p, ok := pending[want]
 			if !ok {
 				break

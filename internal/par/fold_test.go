@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -128,6 +129,44 @@ func TestFoldFoldError(t *testing.T) {
 		}
 		if calls != 26 {
 			t.Fatalf("workers=%d: %d fold calls, want 26", workers, calls)
+		}
+	}
+}
+
+// TestFoldStopsAtCancel: a fold that cancels the caller's context is the
+// last fold call, as in the serial path, even when the results of every
+// later index are already computed and waiting in the reorder buffer.
+func TestFoldStopsAtCancel(t *testing.T) {
+	const n = 64
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, workers := range []int{1, 4} {
+		runtime.GOMAXPROCS(workers)
+		ctx, cancel := context.WithCancel(context.Background())
+		var computed atomic.Int64
+		calls := 0
+		err := Fold(ctx, 0, n,
+			func(_ context.Context, i int) (int, error) {
+				// Index 0 finishes last, so the fold of index 0 finds
+				// every other result waiting.
+				for i == 0 && workers > 1 && computed.Load() < n-1 {
+					runtime.Gosched()
+				}
+				computed.Add(1)
+				return i, nil
+			},
+			func(i, r int) error {
+				calls++
+				if i == 0 {
+					cancel()
+				}
+				return nil
+			})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
+		}
+		if calls != 1 {
+			t.Fatalf("workers=%d: %d fold calls after cancelling at the first, want 1", workers, calls)
 		}
 	}
 }

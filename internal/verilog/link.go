@@ -2,6 +2,7 @@ package verilog
 
 import (
 	"fmt"
+	"strconv"
 
 	"desync/internal/netlist"
 )
@@ -164,7 +165,7 @@ func (b *modBuilder) build() error {
 		var bitNames []string
 		if r, isBus := sm.ranges[base]; isBus {
 			for _, bit := range r.bits() {
-				bitNames = append(bitNames, fmt.Sprintf("%s[%d]", base, bit))
+				bitNames = append(bitNames, netlist.BusBit(base, bit))
 			}
 		} else {
 			bitNames = []string{base}
@@ -227,7 +228,7 @@ func (b *modBuilder) pinBits(si srcInst) (order []string, byBase map[string][]st
 			var bits []string
 			if r, isBus := ssm.ranges[base]; isBus {
 				for _, bit := range r.bits() {
-					bits = append(bits, fmt.Sprintf("%s[%d]", base, bit))
+					bits = append(bits, netlist.BusBit(base, bit))
 				}
 			} else {
 				bits = []string{base}
@@ -267,7 +268,7 @@ func (b *modBuilder) instance(si srcInst) error {
 		switch {
 		case ref.open:
 			b.ncCount++
-			net = b.m.EnsureNet(fmt.Sprintf("__nc%d", b.ncCount))
+			net = b.m.EnsureNet("__nc" + strconv.Itoa(b.ncCount))
 		case ref.cval == 0:
 			net = b.tieNet(0)
 		case ref.cval == 1:

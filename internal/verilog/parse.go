@@ -33,6 +33,20 @@ func (r srcRange) bits() []int {
 	return out
 }
 
+// appendBits appends the references base[i] over the range, MSB-first.
+func (r srcRange) appendBits(out []srcRef, base string) []srcRef {
+	step := 1
+	if r.msb >= r.lsb {
+		step = -1
+	}
+	for i := r.msb; ; i += step {
+		out = append(out, srcRef{name: netlist.BusBit(base, i), cval: -1})
+		if i == r.lsb {
+			return out
+		}
+	}
+}
+
 // srcRef is a single-bit reference after expansion: a net name, or a
 // constant, or explicitly open.
 type srcRef struct {
@@ -82,6 +96,11 @@ type parser struct {
 	lx     *lexer
 	tok    token // current lookahead
 	lexErr error
+
+	// Scratch for the instance being parsed: its connections and all their
+	// references, copied out at the end in one exactly sized slice each.
+	conns []srcConn
+	refs  []srcRef
 }
 
 func newParser(src string) *parser {
@@ -306,14 +325,14 @@ func (p *parser) parseInt() (int, error) {
 // parseAssign handles: assign lhs = rhs;
 func (p *parser) parseAssign(m *srcModule) error {
 	t := p.next() // 'assign'
-	lhs, err := p.parseRefList(m)
+	lhs, err := p.parseRefList(m, nil)
 	if err != nil {
 		return err
 	}
 	if err := p.expectPunct("="); err != nil {
 		return err
 	}
-	rhs, err := p.parseRefList(m)
+	rhs, err := p.parseRefList(m, nil)
 	if err != nil {
 		return err
 	}
@@ -341,6 +360,10 @@ func (p *parser) parseInst(m *srcModule) error {
 	if err := p.expectPunct("("); err != nil {
 		return err
 	}
+	// Every connection appends its references to the scratch refs, and
+	// only the length of its refs field counts until the instance is
+	// complete: then they are all copied into one exactly sized slice.
+	conns, refs := p.conns[:0], p.refs[:0]
 	first := true
 	for {
 		t := p.peek()
@@ -363,11 +386,11 @@ func (p *parser) parseInst(m *srcModule) error {
 			if err := p.expectPunct("("); err != nil {
 				return err
 			}
-			var refs []srcRef
+			lo := len(refs)
 			if p.peek().kind == tPunct && p.peek().text == ")" {
-				refs = []srcRef{{open: true, cval: -1}}
+				refs = append(refs, srcRef{open: true, cval: -1})
 			} else {
-				refs, err = p.parseRefList(m)
+				refs, err = p.parseRefList(m, refs)
 				if err != nil {
 					return err
 				}
@@ -375,37 +398,46 @@ func (p *parser) parseInst(m *srcModule) error {
 			if err := p.expectPunct(")"); err != nil {
 				return err
 			}
-			inst.conns = append(inst.conns, srcConn{pin: identName(pinTok), refs: refs})
+			conns = append(conns, srcConn{pin: identName(pinTok), refs: refs[lo:]})
 		} else {
-			refs, err := p.parseRefList(m)
+			lo := len(refs)
+			refs, err = p.parseRefList(m, refs)
 			if err != nil {
 				return err
 			}
 			inst.positional = true
-			inst.conns = append(inst.conns, srcConn{refs: refs})
+			conns = append(conns, srcConn{refs: refs[lo:]})
 		}
 	}
 	if err := p.expectPunct(";"); err != nil {
 		return err
 	}
+	own := append([]srcRef(nil), refs...)
+	inst.conns = append([]srcConn(nil), conns...)
+	for i, off := 0, 0; i < len(inst.conns); i++ {
+		n := len(inst.conns[i].refs)
+		inst.conns[i].refs = own[off : off+n : off+n]
+		off += n
+	}
+	p.conns, p.refs = conns[:0], refs[:0]
 	m.insts = append(m.insts, inst)
 	return nil
 }
 
 // parseRefList parses a reference: ident, ident[i], ident[m:l], constant, or
-// a concatenation {r, r, ...}. Returns single-bit references MSB-first.
-func (p *parser) parseRefList(m *srcModule) ([]srcRef, error) {
+// a concatenation {r, r, ...}. It appends the single-bit references to out,
+// MSB-first, and returns the extended slice.
+func (p *parser) parseRefList(m *srcModule, out []srcRef) ([]srcRef, error) {
 	t := p.peek()
 	switch {
 	case t.kind == tPunct && t.text == "{":
 		p.next()
-		var out []srcRef
 		for {
-			refs, err := p.parseRefList(m)
+			var err error
+			out, err = p.parseRefList(m, out)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, refs...)
 			sep := p.next()
 			if sep.kind == tPunct && sep.text == "}" {
 				return out, nil
@@ -416,7 +448,7 @@ func (p *parser) parseRefList(m *srcModule) ([]srcRef, error) {
 		}
 	case t.kind == tNumber:
 		p.next()
-		return parseConst(t)
+		return appendConst(out, t)
 	case t.kind == tIdent:
 		p.next()
 		name := identName(t)
@@ -425,21 +457,13 @@ func (p *parser) parseRefList(m *srcModule) ([]srcRef, error) {
 			if err != nil {
 				return nil, err
 			}
-			var out []srcRef
-			for _, b := range r.bits() {
-				out = append(out, srcRef{name: fmt.Sprintf("%s[%d]", name, b), cval: -1})
-			}
-			return out, nil
+			return r.appendBits(out, name), nil
 		}
 		// Bare name: expand if it is a declared bus.
 		if r, ok := m.declWidth(name); ok {
-			var out []srcRef
-			for _, b := range r.bits() {
-				out = append(out, srcRef{name: fmt.Sprintf("%s[%d]", name, b), cval: -1})
-			}
-			return out, nil
+			return r.appendBits(out, name), nil
 		}
-		return []srcRef{{name: name, cval: -1}}, nil
+		return append(out, srcRef{name: name, cval: -1}), nil
 	}
 	return nil, fmt.Errorf("verilog: line %d: expected net reference, got %q", t.line, t.text)
 }
@@ -470,8 +494,9 @@ func (p *parser) parseRangeOrIndex() (srcRange, error) {
 	return srcRange{a, b}, nil
 }
 
-// parseConst expands 1'b0-style literals to constant bit refs, MSB-first.
-func parseConst(t token) ([]srcRef, error) {
+// appendConst expands a 1'b0-style literal to constant bit refs, MSB-first,
+// appended to out.
+func appendConst(out []srcRef, t token) ([]srcRef, error) {
 	s := t.text
 	q := strings.IndexByte(s, '\'')
 	if q < 0 {
@@ -509,13 +534,12 @@ func parseConst(t token) ([]srcRef, error) {
 	default:
 		return nil, fmt.Errorf("verilog: line %d: unsupported constant base %q", t.line, s)
 	}
-	out := make([]srcRef, width)
 	for i := 0; i < width; i++ {
 		bit := int8(0)
 		if val>>uint(width-1-i)&1 == 1 {
 			bit = 1
 		}
-		out[i] = srcRef{cval: bit}
+		out = append(out, srcRef{cval: bit})
 	}
 	return out, nil
 }
