@@ -29,8 +29,10 @@ vet:
 # drlint verifies both example designs before and (via the flow's built-in
 # gates) after desynchronization, the mga marked-graph engine issues
 # its polynomial-time liveness/safety/period verdicts on all three case
-# studies (drequiv -static), and a two-phase DLX conversion exercises the
-# alternate backend end to end (its TP-* lint gate runs inside the tool).
+# studies (drequiv -static), and two DLX conversions exercise the
+# alternate backend and the completion-detection mode end to end through
+# the tool's own gates (the completion run skips the static gate, which
+# its marking model cannot price, and says so on stderr).
 lint:
 	$(GO) run ./cmd/repolint
 	$(GO) run ./cmd/drlint -gen dlx
@@ -40,6 +42,9 @@ lint:
 	$(GO) run ./cmd/drdesync -gen dlx -backend twophase \
 		-out /tmp/drdesync-tp-smoke.v -sdc /tmp/drdesync-tp-smoke.sdc
 	rm -f /tmp/drdesync-tp-smoke.v /tmp/drdesync-tp-smoke.sdc
+	$(GO) run ./cmd/drdesync -gen dlx -cdet -period 4.65 \
+		-out /tmp/drdesync-cdet-smoke.v -sdc /tmp/drdesync-cdet-smoke.sdc
+	rm -f /tmp/drdesync-cdet-smoke.v /tmp/drdesync-cdet-smoke.sdc
 
 # Formal verification: model-check deadlock-freedom, phase safety and flow
 # equivalence of both case studies' control networks, cross-validated

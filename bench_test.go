@@ -148,12 +148,15 @@ func BenchmarkFig55Power(b *testing.B) {
 // ---- Ablations ----
 
 // BenchmarkAblationMargin varies the delay-element sizing margin and
-// reports the resulting effective period: the cost of conservatism.
+// reports the resulting effective period: the cost of conservatism. A
+// margin under 1.0 under-covers some region, so the verified flow bumps
+// it by 15% per fallback until every element covers its budget; the
+// fallback count says how often it did.
 func BenchmarkAblationMargin(b *testing.B) {
 	for _, margin := range []float64{0.85, 1.15, 1.5} {
 		b.Run(marginName(margin), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f, err := expt.RunDLXFlow(expt.FlowConfig{Margin: margin})
+				f, err := expt.RunFlow("dlx", expt.FlowConfig{Margin: margin})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -165,6 +168,7 @@ func BenchmarkAblationMargin(b *testing.B) {
 					b.Fatalf("margin %.2f broke flow equivalence", margin)
 				}
 				b.ReportMetric(run.EffectivePeriod, "period_ns")
+				b.ReportMetric(float64(len(f.Degraded)), "fallbacks")
 			}
 		})
 	}
@@ -186,7 +190,7 @@ func marginName(m float64) string {
 // version: what automatic grouping buys.
 func BenchmarkAblationSingleRegion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f4, err := expt.RunDLXFlow(expt.FlowConfig{})
+		f4, err := expt.RunFlow("dlx", expt.FlowConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +198,7 @@ func BenchmarkAblationSingleRegion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		f1, err := expt.RunDLXFlow(expt.FlowConfig{SingleRegion: true})
+		f1, err := expt.RunFlow("dlx", expt.FlowConfig{SingleRegion: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +219,7 @@ func BenchmarkAblationSingleRegion(b *testing.B) {
 // paper's matched delay elements on the DLX.
 func BenchmarkAblationCompletionDetection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fd, err := expt.RunDLXFlow(expt.FlowConfig{})
+		fd, err := expt.RunFlow("dlx", expt.FlowConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +227,7 @@ func BenchmarkAblationCompletionDetection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fc, err := expt.RunDLXFlow(expt.FlowConfig{Mode: core.ModeCompletion})
+		fc, err := expt.RunFlow("dlx", expt.FlowConfig{Mode: core.ModeCompletion})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +250,11 @@ func BenchmarkAblationCompletionDetection(b *testing.B) {
 // classes is the flow's safety argument, not a statistic to trend.
 func BenchmarkFaultCampaignSmoke(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := expt.RunDLXFaultCampaign(context.Background(), nil, expt.FaultCampaignConfig{})
+		f, err := expt.RunFlow("dlx", expt.FlowConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := expt.RunFaultCampaign(context.Background(), f, expt.FaultCampaignConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -275,7 +283,11 @@ func BenchmarkFaultCampaignSmoke(b *testing.B) {
 func BenchmarkCampaignParallelDLX(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for i := 0; i < b.N; i++ {
-		rep, err := expt.RunDLXFaultCampaign(context.Background(), nil, expt.FaultCampaignConfig{})
+		f, err := expt.RunFlow("dlx", expt.FlowConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := expt.RunFaultCampaign(context.Background(), f, expt.FaultCampaignConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -298,7 +310,7 @@ func BenchmarkCampaignParallelDLX(b *testing.B) {
 // speedup curve on a multi-core host — on a single core the sub-benchmarks
 // should coincide, which is itself a useful overhead bound.
 func BenchmarkCampaignScalingDLX(b *testing.B) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
+	f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -306,7 +318,7 @@ func BenchmarkCampaignScalingDLX(b *testing.B) {
 	for _, j := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(j)
 		b.Run(jobsName(j), func(b *testing.B) {
-			c, err := expt.NewDLXCampaign(context.Background(), f, 0)
+			c, err := expt.NewCampaign(context.Background(), f, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -335,18 +347,18 @@ func jobsName(j int) string {
 // fault-campaign smoke guard, a lint-dirty tree is a broken build, not a
 // statistic. The runtime is the cost of the full lint pass.
 func BenchmarkLintClean(b *testing.B) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
+	f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pre := lint.Check(f.Sync.Top, lint.Options{})
-		post := lint.Check(f.Desync.Top, lint.Options{Desync: true, Constraints: f.Result.Constraints})
+		post := lint.Check(f.Design.Top, lint.Options{Desync: true, Constraints: f.Result.Constraints})
 		if n := pre.Count(lint.Warning) + post.Count(lint.Warning); n != 0 {
 			b.Fatalf("golden flow is not lint-clean: %d finding(s)\n%s%s", n, pre.Text(), post.Text())
 		}
-		b.ReportMetric(float64(len(f.Desync.Top.Insts)), "instances")
+		b.ReportMetric(float64(len(f.Design.Top.Insts)), "instances")
 	}
 }
 
@@ -358,18 +370,18 @@ func BenchmarkLintClean(b *testing.B) {
 // analysis over a prebuilt extraction — the number the static-vs-BFS
 // speedup in EXPERIMENTS.md is computed from.
 func BenchmarkMGAStaticDLX(b *testing.B) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
+	f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	cn := ctrlnet.Derive(f.Desync.Top)
-	m, err := equiv.FromNetwork(f.Desync.Top, cn)
+	cn := ctrlnet.Derive(f.Design.Top)
+	m, err := equiv.FromNetwork(f.Design.Top, cn)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := mga.AnalyzeModel(f.Desync.Top, cn, m, mga.Options{})
+		rep := mga.AnalyzeModel(f.Design.Top, cn, m, mga.Options{})
 		if !rep.Live || !rep.Safe {
 			b.Fatalf("DLX golden flow fails static verification: live=%v safe=%v", rep.Live, rep.Safe)
 		}
@@ -448,7 +460,7 @@ func BenchmarkAblationGrouping(b *testing.B) {
 // BenchmarkSSTAMatching runs the §6 future-work verification: statistical
 // coverage of the matched delay elements across the operating spectrum.
 func BenchmarkSSTAMatching(b *testing.B) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
+	f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -592,14 +604,14 @@ func BenchmarkPlaceAndRoute(b *testing.B) {
 
 // BenchmarkMonteCarloChip measures one variability sample end to end.
 func BenchmarkMonteCarloChip(b *testing.B) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
+	f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		variability.ApplyIntraDie(f.Desync.Top, 0.03, rng)
+		variability.ApplyIntraDie(f.Design.Top, 0.03, rng)
 		chip := variability.Sample(rng, 1, 1.0/6)[0]
 		run, err := expt.MeasureDDLX(f, netlist.Best, chip.Scale(), -1, 12)
 		if err != nil {
@@ -610,7 +622,7 @@ func BenchmarkMonteCarloChip(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	variability.ResetIntraDie(f.Desync.Top)
+	variability.ResetIntraDie(f.Design.Top)
 }
 
 // BenchmarkProtocolRingCheck measures the STG flow-equivalence checker.
@@ -638,7 +650,11 @@ func BenchmarkProtocolRingCheck(b *testing.B) {
 // this path — sized to stay a smoke test, not a measurement.
 func BenchmarkSweepSmokeDLX(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := expt.DLXRobustnessSurface(context.Background(), nil, expt.SurfaceConfig{
+		f, err := expt.RunFlow("dlx", expt.FlowConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := expt.RobustnessSurface(context.Background(), f, expt.SurfaceConfig{
 			Corners: 2, Chips: 2, DelayPerRegion: 1,
 		})
 		if err != nil {

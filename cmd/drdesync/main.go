@@ -250,9 +250,14 @@ func report(out *vflow.Outcome, stdout, stderr io.Writer) {
 			continue
 		case v.Status == vflow.Downgraded:
 			fmt.Fprintf(stderr, "drdesync: warning: %s gate downgraded: %s\n", v.Step, v.Reason)
-		case v.Status == vflow.Skipped && v.Step != vflow.GateStatic:
-			// Only requested gates are reported as skipped; the always-on
-			// static gate's skip follows from -backend alone.
+		case v.Status == vflow.Skipped && v.Step == vflow.GateStatic:
+			// The always-on static gate's skip under another backend
+			// follows from -backend alone; a desynchronization it cannot
+			// model says why.
+			if res.Backend == core.BackendDesync {
+				fmt.Fprintf(stderr, "drdesync: static gate skipped: %s\n", v.Reason)
+			}
+		case v.Status == vflow.Skipped:
 			fmt.Fprintf(stderr, "drdesync: -%s %s, skipped\n", v.Step, v.Reason)
 		}
 		switch {

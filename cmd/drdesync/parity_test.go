@@ -30,6 +30,7 @@ func TestCLIServerParity(t *testing.T) {
 	type input struct {
 		name, gen, src, lib string
 		period, margin      float64
+		mode                core.Mode
 	}
 	inputs := []input{
 		{name: "dlx", gen: "dlx", lib: "HS", period: 4.65},
@@ -48,7 +49,9 @@ func TestCLIServerParity(t *testing.T) {
 			cases = append(cases, parityCase{in, be})
 		}
 	}
-	cases = append(cases, parityCase{input{name: "dlx-margin", gen: "dlx", lib: "HS", period: 4.65, margin: 0.05}, core.BackendDesync})
+	cases = append(cases,
+		parityCase{input{name: "dlx-margin", gen: "dlx", lib: "HS", period: 4.65, margin: 0.05}, core.BackendDesync},
+		parityCase{input{name: "dlx-cdet", gen: "dlx", lib: "HS", period: 4.65, mode: core.ModeCompletion}, core.BackendDesync})
 
 	base := startServer(t)
 	for _, tc := range cases {
@@ -57,7 +60,7 @@ func TestCLIServerParity(t *testing.T) {
 			o := runOpts{
 				gen: tc.gen, libVariant: tc.lib,
 				out: filepath.Join(dir, "netlist.v"), sdcOut: filepath.Join(dir, "constraints.sdc"),
-				Options: vflow.Options{Flow: core.Options{Backend: tc.backend, Period: tc.period, Margin: tc.margin}},
+				Options: vflow.Options{Flow: core.Options{Backend: tc.backend, Mode: tc.mode, Period: tc.period, Margin: tc.margin}},
 			}
 			if tc.src != "" {
 				o.in = filepath.Join(dir, "in.v")
@@ -68,7 +71,7 @@ func TestCLIServerParity(t *testing.T) {
 			out, cliErr := run(context.Background(), o, io.Discard, io.Discard)
 
 			req := flowserv.JobRequest{Gen: tc.gen, Verilog: tc.src, Lib: tc.lib, Options: flowserv.FlowOptions{
-				Backend: tc.backend, Period: tc.period, Margin: tc.margin,
+				Backend: tc.backend, Mode: string(tc.mode), Period: tc.period, Margin: tc.margin,
 			}}
 			st, evs, arts := runJob(t, base, req)
 
@@ -125,6 +128,9 @@ func TestCLIServerParity(t *testing.T) {
 				if len(out.Degraded) == 0 {
 					t.Errorf("%s fired no fallback", tc.name)
 				}
+			}
+			if v := out.Verdict(vflow.GateStatic); tc.mode == core.ModeCompletion && v.Status != vflow.Skipped {
+				t.Errorf("completion-detection static verdict %+v, want skipped", v)
 			}
 
 			for _, name := range []string{flowserv.ArtifactNetlist, flowserv.ArtifactConstraints} {

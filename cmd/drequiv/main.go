@@ -13,10 +13,10 @@
 //	drequiv -gen dlx -replay trace.json
 //	drequiv -gen dlx -static [-json]
 //
-// -gen runs a built-in flow and verifies its output, so CI can gate the
-// example designs without carrying netlist artifacts: dlx, arm and fir run
-// their hand-tuned case-study flows, and any other designs.ParseSpec spec
-// (pipeline, riscv, des) runs the generic desynchronization flow. -xval N
+// -gen converts a designs.ParseSpec spec (dlx, arm, fir, pipeline, riscv,
+// des) the way the experiments do — through the verified flow, whose gate
+// verdicts go to stderr — and verifies its output, so CI can gate the
+// example designs without carrying netlist artifacts. -xval N
 // cross-validates the model against N randomized simulator traces (seeded
 // with -seed, recorded in the JSON report, so failures reproduce). The
 // exploration and cross-validation run GOMAXPROCS workers; the report —
@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	ctx, cancel := cliutil.Context()
 	defer cancel()
-	code, err := equivRun(ctx, o, stdout)
+	code, err := equivRun(ctx, o, stdout, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "drequiv:", err)
 		return 2
@@ -104,8 +104,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-func equivRun(ctx context.Context, o equivOpts, stdout io.Writer) (int, error) {
-	mod, err := loadModule(o)
+func equivRun(ctx context.Context, o equivOpts, stdout, stderr io.Writer) (int, error) {
+	mod, err := loadModule(o, stderr)
 	if err != nil {
 		return 0, err
 	}
@@ -240,40 +240,20 @@ func writeTraceFile(path string, tr *equiv.Trace) error {
 	return f.Close()
 }
 
-// loadModule reads the input netlist or runs one of the built-in
-// case-study flows and returns the desynchronized top module.
-func loadModule(o equivOpts) (*netlist.Module, error) {
+// loadModule reads the input netlist or converts the -gen spec through
+// the experiments' flow, reporting its gate verdicts on stderr, and returns
+// the desynchronized top module.
+func loadModule(o equivOpts, stderr io.Writer) (*netlist.Module, error) {
 	if o.gen != "" {
-		switch o.gen {
-		case "dlx":
-			f, err := expt.RunDLXFlow(expt.FlowConfig{})
-			if err != nil {
-				return nil, err
-			}
-			return f.Desync.Top, nil
-		case "arm":
-			f, err := expt.RunARMFlow()
-			if err != nil {
-				return nil, err
-			}
-			return f.Desync.Top, nil
-		case "fir":
-			f, err := expt.RunFIRFlow()
-			if err != nil {
-				return nil, err
-			}
-			return f.Desync.Top, nil
-		}
-		// Anything else is a parametric generator spec: desynchronize it
-		// through the generic flow and verify that output.
 		if !designs.ValidSpec(o.gen) {
 			return nil, fmt.Errorf("unknown -gen design %q (want %s, with pipeline key=value params)", o.gen, strings.Join(designs.SpecNames(), "|"))
 		}
-		f, err := expt.RunGenFlow(o.gen, expt.FlowConfig{})
+		f, err := expt.RunFlow(o.gen, expt.FlowConfig{})
 		if err != nil {
 			return nil, err
 		}
-		return f.Desync.Top, nil
+		io.WriteString(stderr, f.RenderGates())
+		return f.Design.Top, nil
 	}
 	lib := stdcells.New(stdcells.Variant(o.libVariant))
 	src, err := os.ReadFile(o.in)

@@ -59,19 +59,19 @@ func TestJSONReportRecordsSeed(t *testing.T) {
 // its counterexample dumped, and the dump replayed through the simulator
 // for dynamic confirmation (exit 0).
 func TestViolationDumpAndReplay(t *testing.T) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
+	f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ai := f.Desync.Top.Inst("G2_Mctrl/ai")
+	ai := f.Design.Top.Inst("G2_Mctrl/ai")
 	if ai == nil {
 		t.Fatal("G2_Mctrl/ai not found")
 	}
-	f.Desync.Top.Disconnect(ai, "Z")
+	f.Design.Top.Disconnect(ai, "Z")
 
 	dir := t.TempDir()
 	in := filepath.Join(dir, "broken.v")
-	if err := os.WriteFile(in, []byte(verilog.Write(f.Desync)), 0o644); err != nil {
+	if err := os.WriteFile(in, []byte(verilog.Write(f.Design)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ce := filepath.Join(dir, "ce.json")

@@ -52,11 +52,11 @@ func TestGoldenGenReports(t *testing.T) {
 // The desync goldens pin the full DS-* derivation (regions, phases,
 // channels, timing budgets) over both desynchronized case studies.
 func TestGoldenDesyncDLX(t *testing.T) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
+	f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := lint.Check(f.Desync.Top, lint.Options{Desync: true, Constraints: f.Result.Constraints})
+	rep := lint.Check(f.Design.Top, lint.Options{Desync: true, Constraints: f.Result.Constraints})
 	out, err := rep.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestGoldenDesyncDLX(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		rep := lint.Check(f.Desync.Top, lint.Options{Desync: true, Constraints: f.Result.Constraints})
+		rep := lint.Check(f.Design.Top, lint.Options{Desync: true, Constraints: f.Result.Constraints})
 		out, err := rep.JSON()
 		if err != nil {
 			t.Fatal(err)
@@ -78,14 +78,13 @@ func TestGoldenDesyncDLX(t *testing.T) {
 }
 
 func TestGoldenDesyncARM(t *testing.T) {
-	f, err := expt.RunARMFlow()
+	f, err := expt.RunFlow("arm", expt.FlowConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RunARMFlow does not retain the generated constraints; linting without
-	// them still exercises the whole structural derivation plus the
-	// no-constraints advisory path.
-	rep := lint.Check(f.Desync.Top, lint.Options{Desync: true})
+	// Linted without the generated constraints: the golden pins the whole
+	// structural derivation plus the no-constraints advisory path.
+	rep := lint.Check(f.Design.Top, lint.Options{Desync: true})
 	out, err := rep.JSON()
 	if err != nil {
 		t.Fatal(err)

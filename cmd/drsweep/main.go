@@ -5,7 +5,8 @@
 // measurement over the full cross-product the original paper sampled at
 // two points. The default subject is the DLX case study; -gen accepts any
 // designs.ParseSpec generator spec (arm, fir, pipeline:depth=8,width=32,
-// ...), desynchronized through the generic flow.
+// ...). Each is converted the way the experiments convert it, through the
+// verified flow, whose gate verdicts go to stderr unless -quiet.
 //
 // Usage:
 //
@@ -64,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("drsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var o sweepOpts
-	fs.StringVar(&o.gen, "gen", "dlx", "design to sweep: dlx (case-study flow), or any spec like pipeline:depth=8,width=32")
+	fs.StringVar(&o.gen, "gen", "dlx", "design to sweep: dlx, or any spec like pipeline:depth=8,width=32")
 	fs.IntVar(&o.corners, "corners", 3, "PVT grid points across [1, CornerSpread]")
 	fs.IntVar(&o.chips, "chips", 3, "Monte Carlo chips (intra-die draws) per corner")
 	fs.Float64Var(&o.sigma, "sigma", 0.05, "per-instance intra-die mismatch sigma")
@@ -114,18 +115,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ScenarioTimeout: o.scenarioTimeout, MaxFailures: o.maxFailures,
 			Progress: progress,
 		}
-		var err error
-		if o.gen == "dlx" {
-			// The DLX keeps its hand-tuned case-study flow (and its existing
-			// checkpoint journals stay replayable).
-			rep, err = expt.DLXRobustnessSurface(ctx, nil, cfg)
-			return err
-		}
-		f, err := expt.RunGenFlow(o.gen, expt.FlowConfig{})
+		f, err := expt.RunFlow(o.gen, expt.FlowConfig{})
 		if err != nil {
 			return err
 		}
-		rep, err = expt.RobustnessSurface(ctx, f.Desync.Top, f.Period, cfg)
+		if !o.quiet {
+			io.WriteString(stderr, f.RenderGates())
+		}
+		rep, err = expt.RobustnessSurface(ctx, f, cfg)
 		return err
 	})
 	if err != nil {

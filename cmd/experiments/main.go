@@ -86,46 +86,48 @@ func main() {
 			}
 			fmt.Println(tbl.Render())
 			fmt.Printf("  synchronous clock period (STA): best %.3f ns, worst %.3f ns\n",
-				f.BestPeriod, f.Period)
+				tbl.BestPeriod, f.Period)
 			ab, err := expt.ControlOverhead(f, *cycles)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("  as-sized DDLX effective period (worst): %.3f ns (%.1f%% over DLX)\n\n",
+			fmt.Printf("  as-sized DDLX effective period (worst): %.3f ns (%.1f%% over DLX)\n",
 				ab.DesyncPeriod, ab.OverheadPct)
+			fmt.Println(f.RenderGates())
 			return nil
 		})
 	}
 	if *all || *fig == "5.3" || *fig == "5.5" {
 		run("fig 5.3/5.5", func() error {
-			sweep, _, err := expt.Fig53(*cycles)
+			sweep, f, err := expt.Fig53(*cycles)
 			if err != nil {
 				return err
 			}
 			if *all || *fig == "5.3" {
-				fmt.Println(sweep.Render())
+				fmt.Println(sweep.Render() + f.RenderGates())
 			}
 			if *all || *fig == "5.5" {
 				fmt.Println(sweep.RenderPower())
-				fmt.Printf("  DLX power: best %.3f mW, worst %.3f mW\n\n",
+				fmt.Printf("  DLX power: best %.3f mW, worst %.3f mW\n",
 					sweep.DLXPower[netlist.Best], sweep.DLXPower[netlist.Worst])
+				fmt.Println(f.RenderGates())
 			}
 			return nil
 		})
 	}
 	if *all || *fig == "5.4" {
 		run("fig 5.4", func() error {
-			mc, _, err := expt.Fig54(*chips, *cycles, *sel, seed)
+			mc, f, err := expt.Fig54(*chips, *cycles, *sel, seed)
 			if err != nil {
 				return err
 			}
-			fmt.Println(mc.Render())
+			fmt.Println(mc.Render() + f.RenderGates())
 			return nil
 		})
 	}
 	if *all || *fig == "ssta" {
 		run("ssta", func() error {
-			f, err := expt.RunDLXFlow(expt.FlowConfig{})
+			f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 			if err != nil {
 				return err
 			}
@@ -133,7 +135,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Println(expt.RenderSSTA(rows))
+			fmt.Println(expt.RenderSSTA(rows) + f.RenderGates())
 			return nil
 		})
 	}
@@ -141,11 +143,15 @@ func main() {
 		run("faults", func() error {
 			ctx, cancel := cliutil.Context()
 			defer cancel()
-			rep, err := expt.RunDLXFaultCampaign(ctx, nil, expt.FaultCampaignConfig{Glitches: true})
+			f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 			if err != nil {
 				return err
 			}
-			fmt.Println(rep.Render())
+			rep, err := expt.RunFaultCampaign(ctx, f, expt.FaultCampaignConfig{Glitches: true})
+			if err != nil {
+				return err
+			}
+			fmt.Println(rep.Render() + f.RenderGates())
 			return nil
 		})
 	}
@@ -175,11 +181,11 @@ func main() {
 		run("sweep", func() error {
 			ctx, cancel := cliutil.Context()
 			defer cancel()
-			f, err := expt.RunDLXFlow(expt.FlowConfig{})
+			f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 			if err != nil {
 				return err
 			}
-			rep, err := expt.DLXRobustnessSurface(ctx, f, expt.SurfaceConfig{Seed: seed})
+			rep, err := expt.RobustnessSurface(ctx, f, expt.SurfaceConfig{Seed: seed})
 			if err != nil {
 				return err
 			}
@@ -187,7 +193,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Println(expt.RenderSurface(rep, rows))
+			fmt.Println(expt.RenderSurface(rep, rows) + f.RenderGates())
 			return nil
 		})
 	}
@@ -198,8 +204,9 @@ func main() {
 				return err
 			}
 			fmt.Println(tbl.Render())
-			fmt.Printf("  scan chain: %d flip-flops, random-pattern stuck-at coverage %.1f%%\n\n",
-				f.ScanChain, f.Coverage*100)
+			fmt.Printf("  scan chain: %d flip-flops, random-pattern stuck-at coverage %.1f%%\n",
+				tbl.ScanChain, tbl.Coverage*100)
+			fmt.Println(f.RenderGates())
 			return nil
 		})
 	}

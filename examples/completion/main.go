@@ -18,7 +18,7 @@ import (
 
 func main() {
 	fmt.Println("== Matched delay elements (the paper's choice) ==")
-	fd, err := expt.RunDLXFlow(expt.FlowConfig{})
+	fd, err := expt.RunFlow("dlx", expt.FlowConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func main() {
 	fmt.Printf("flow equivalent: %v\n\n", rd.Correct)
 
 	fmt.Println("== Completion detection (§2.4.4 alternative) ==")
-	fc, err := expt.RunDLXFlow(expt.FlowConfig{Mode: core.ModeCompletion})
+	fc, err := expt.RunFlow("dlx", expt.FlowConfig{Mode: core.ModeCompletion})
 	if err != nil {
 		log.Fatal(err)
 	}

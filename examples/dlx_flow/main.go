@@ -32,7 +32,7 @@ func main() {
 	fmt.Println("\n== Timing and power at both corners ==")
 	fmt.Printf("%-22s %12s %12s %12s %9s\n", "version", "corner", "period (ns)", "power (mW)", "correct")
 	for _, corner := range []netlist.Corner{netlist.Best, netlist.Worst} {
-		p := flow.BestPeriod
+		p := tbl.BestPeriod
 		if corner == netlist.Worst {
 			p = flow.Period
 		}

@@ -250,14 +250,10 @@ func (d *deriver) instAt(s int32) *netlist.Inst {
 // pinIs reports whether the instance's cell declares pin with direction
 // dir. Connections carry their pin's direction, but one set with
 // SetConnUnchecked may name a pin the cell does not declare, which the
-// walks skip; the cell's few pins are scanned instead of hashed.
+// walks skip.
 func pinIs(in *netlist.Inst, pin string, dir netlist.PinDir) bool {
-	for i := range in.Cell.Pins {
-		if in.Cell.Pins[i].Name == pin {
-			return in.Cell.Pins[i].Dir == dir
-		}
-	}
-	return false
+	p := in.Cell.Pin(pin)
+	return p != nil && p.Dir == dir
 }
 
 // ctrlEnableRoot matches the controller latch-enable gates by name.

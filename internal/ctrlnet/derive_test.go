@@ -22,12 +22,12 @@ var (
 
 func dlxModule(t testing.TB) *netlist.Module {
 	dlxOnce.Do(func() {
-		f, err := expt.RunDLXFlow(expt.FlowConfig{})
+		f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 		if err != nil {
 			dlxErr = err
 			return
 		}
-		dlxTop = f.Desync.Top
+		dlxTop = f.Design.Top
 		dlxRes = f.Result
 	})
 	if dlxErr != nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"desync/internal/ctrlnet"
-	"desync/internal/expt"
 )
 
 // dlxStates is the reduced reachable-marking count of the desynchronized
@@ -26,11 +25,8 @@ const dlxExploreBudget = 30 * time.Second
 // the reduced state count must stay exactly dlxStates and a single
 // exploration must finish within dlxExploreBudget.
 func BenchmarkEquivDLX(b *testing.B) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
-	if err != nil {
-		b.Fatalf("DLX flow: %v", err)
-	}
-	m, err := FromNetwork(f.Desync.Top, ctrlnet.Derive(f.Desync.Top))
+	dlx := converted(b, "dlx").Top
+	m, err := FromNetwork(dlx, ctrlnet.Derive(dlx))
 	if err != nil {
 		b.Fatalf("FromNetwork: %v", err)
 	}
@@ -56,11 +52,8 @@ func BenchmarkEquivDLX(b *testing.B) {
 // sharding overhead, not a speedup; the guard is the determinism pin — the
 // parallel search must land on exactly the serial state count.
 func BenchmarkEquivParallelDLX(b *testing.B) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
-	if err != nil {
-		b.Fatalf("DLX flow: %v", err)
-	}
-	m, err := FromNetwork(f.Desync.Top, ctrlnet.Derive(f.Desync.Top))
+	dlx := converted(b, "dlx").Top
+	m, err := FromNetwork(dlx, ctrlnet.Derive(dlx))
 	if err != nil {
 		b.Fatalf("FromNetwork: %v", err)
 	}
@@ -88,19 +81,13 @@ func BenchmarkEquivParallelDLX(b *testing.B) {
 // single-digit milliseconds, is too small to time) and the ARM
 // cross-validation trace fan-out.
 func BenchmarkEquivScaling(b *testing.B) {
-	dlx, err := expt.RunDLXFlow(expt.FlowConfig{})
+	dlx := converted(b, "dlx").Top
+	md, err := FromNetwork(dlx, ctrlnet.Derive(dlx))
 	if err != nil {
 		b.Fatal(err)
 	}
-	md, err := FromNetwork(dlx.Desync.Top, ctrlnet.Derive(dlx.Desync.Top))
-	if err != nil {
-		b.Fatal(err)
-	}
-	arm, err := expt.RunARMFlow()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ma, err := FromNetwork(arm.Desync.Top, ctrlnet.Derive(arm.Desync.Top))
+	arm := converted(b, "arm").Top
+	ma, err := FromNetwork(arm, ctrlnet.Derive(arm))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,7 +104,7 @@ func BenchmarkEquivScaling(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("arm-xval-j%d", j), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				x, err := ma.CrossValidate(context.Background(), arm.Desync.Top, XValConfig{Traces: 4, Seed: 7})
+				x, err := ma.CrossValidate(context.Background(), arm, XValConfig{Traces: 4, Seed: 7})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -134,27 +121,21 @@ func BenchmarkEquivScaling(b *testing.B) {
 // re-derivation of the control network versus extraction reusing the IR the
 // rest of the run already holds.
 func BenchmarkModelFromFreshDerive(b *testing.B) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
-	if err != nil {
-		b.Fatalf("DLX flow: %v", err)
-	}
+	dlx := converted(b, "dlx").Top
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FromNetwork(f.Desync.Top, ctrlnet.DeriveFresh(f.Desync.Top)); err != nil {
+		if _, err := FromNetwork(dlx, ctrlnet.DeriveFresh(dlx)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkModelFromSharedNetwork(b *testing.B) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
-	if err != nil {
-		b.Fatalf("DLX flow: %v", err)
-	}
-	cn := ctrlnet.Derive(f.Desync.Top)
+	dlx := converted(b, "dlx").Top
+	cn := ctrlnet.Derive(dlx)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FromNetwork(f.Desync.Top, cn); err != nil {
+		if _, err := FromNetwork(dlx, cn); err != nil {
 			b.Fatal(err)
 		}
 	}

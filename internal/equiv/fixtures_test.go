@@ -1,7 +1,8 @@
-package equiv
+package equiv_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"desync/internal/ctrlnet"
+	"desync/internal/equiv"
 	"desync/internal/expt"
 	"desync/internal/netlist"
 )
@@ -24,7 +26,7 @@ type fixture struct {
 	name    string
 	rules   []string // violation rules the mutation may legitimately trip
 	mutate  func(t *testing.T, d *netlist.Design)
-	confirm func(t *testing.T, f *expt.DLXFlow, m *Model, tr *Trace) string
+	confirm func(t *testing.T, f *expt.Flow, m *equiv.Model, tr *equiv.Trace) string
 }
 
 var fixtures = []fixture{
@@ -33,7 +35,7 @@ var fixtures = []fixture{
 		// acknowledge joins never complete: a dropped ack channel wedges
 		// the whole ring.
 		name:  "dropped-ack",
-		rules: []string{RuleDeadlock},
+		rules: []string{equiv.RuleDeadlock},
 		mutate: func(t *testing.T, d *netlist.Design) {
 			ai := d.Top.Inst("G2_Mctrl/ai")
 			if ai == nil {
@@ -48,7 +50,7 @@ var fixtures = []fixture{
 		// comes out of reset with the slave open and the master closed,
 		// off the synchronous master/slave discipline.
 		name:  "swapped-phases",
-		rules: []string{RuleSafety, RuleFlow, RuleDeadlock},
+		rules: []string{equiv.RuleSafety, equiv.RuleFlow, equiv.RuleDeadlock},
 		mutate: func(t *testing.T, d *netlist.Design) {
 			mg, sg := d.Top.Inst("G1_Mctrl/g"), d.Top.Inst("G1_Sctrl/g")
 			if mg == nil || sg == nil {
@@ -63,7 +65,7 @@ var fixtures = []fixture{
 		// is architectural: the slave latches the previous generation, so
 		// the free-running design's PC/R7 trace diverges from the golden
 		// model.
-		confirm: func(t *testing.T, f *expt.DLXFlow, m *Model, tr *Trace) string {
+		confirm: func(t *testing.T, f *expt.Flow, m *equiv.Model, tr *equiv.Trace) string {
 			run, err := expt.MeasureDDLX(f, netlist.Worst, 1.0, -1, 20)
 			if err != nil {
 				return "free run stalled: " + err.Error()
@@ -79,7 +81,7 @@ var fixtures = []fixture{
 		// its sibling leg: the join fires without waiting for that
 		// predecessor's request, so region 4 captures off schedule.
 		name:  "missing-cinput",
-		rules: []string{RuleFlow, RuleSafety},
+		rules: []string{equiv.RuleFlow, equiv.RuleSafety},
 		mutate: func(t *testing.T, d *netlist.Design) {
 			c0 := d.Top.Inst("G4_reqC/c0")
 			if c0 == nil {
@@ -101,18 +103,21 @@ var fixtures = []fixture{
 func TestKnownBadFixtures(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			f, err := expt.RunDLXFlow(expt.FlowConfig{})
+			f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 			if err != nil {
 				t.Fatalf("DLX flow: %v", err)
 			}
-			fx.mutate(t, f.Desync)
-			mod := f.Desync.Top
+			fx.mutate(t, f.Design)
+			mod := f.Design.Top
 
-			m, err := FromNetwork(mod, ctrlnet.Derive(mod))
+			m, err := equiv.FromNetwork(mod, ctrlnet.Derive(mod))
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := mustExplore(t, m, ExploreOptions{})
+			res, err := m.Explore(context.Background(), equiv.ExploreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if res.Violation == nil {
 				t.Fatalf("mutation not caught (states=%d truncated=%v)", res.States, res.Truncated)
 			}
@@ -127,7 +132,7 @@ func TestKnownBadFixtures(t *testing.T) {
 			golden := filepath.Join("testdata", fx.name+".json")
 			if *update {
 				var buf bytes.Buffer
-				if err := WriteTrace(&buf, tr); err != nil {
+				if err := equiv.WriteTrace(&buf, tr); err != nil {
 					t.Fatal(err)
 				}
 				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
@@ -138,7 +143,7 @@ func TestKnownBadFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("golden trace missing (run with -update): %v", err)
 			}
-			want, err := ReadTrace(gf)
+			want, err := equiv.ReadTrace(gf)
 			gf.Close()
 			if err != nil {
 				t.Fatal(err)
@@ -150,8 +155,8 @@ func TestKnownBadFixtures(t *testing.T) {
 
 			confirm := fx.confirm
 			if confirm == nil {
-				confirm = func(t *testing.T, f *expt.DLXFlow, m *Model, tr *Trace) string {
-					rep, err := Replay(f.Desync.Top, m, tr)
+				confirm = func(t *testing.T, f *expt.Flow, m *equiv.Model, tr *equiv.Trace) string {
+					rep, err := equiv.Replay(f.Design.Top, m, tr)
 					if err != nil {
 						t.Fatal(err)
 					}

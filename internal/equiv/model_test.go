@@ -4,8 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"desync/internal/core"
 	"desync/internal/ctrlnet"
-	"desync/internal/expt"
+	"desync/internal/designs"
+	"desync/internal/dft"
 	"desync/internal/lint"
 	"desync/internal/netlist"
 )
@@ -21,23 +23,31 @@ func mustExplore(t testing.TB, m *Model, opts ExploreOptions) *Result {
 	return res
 }
 
-// dlxModule runs the full desynchronization flow on a fresh DLX and returns
-// the desynchronized top module. Each caller gets its own netlist so
-// mutation tests cannot contaminate each other.
-func dlxModule(t *testing.T) *netlist.Module {
+// converted builds a fresh copy of a generator spec and desynchronizes it
+// as the experiments do: the ARM as a scan design, pre-grouped generators
+// keeping their regions. The clock period only shapes the SDC, which
+// these tests do not read. Each caller gets its own netlist so mutation
+// tests cannot contaminate each other.
+func converted(t testing.TB, spec string) *netlist.Design {
 	t.Helper()
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
-	if err != nil {
-		t.Fatalf("DLX flow: %v", err)
+	d, err := designs.ParseSpec(spec, nil)
+	if err == nil && spec == "arm" {
+		_, err = dft.InsertScan(d)
 	}
-	return f.Desync.Top
+	if err == nil {
+		_, err = core.Convert(context.Background(), d, core.Options{ManualGroups: designs.PreGrouped(spec)})
+	}
+	if err != nil {
+		t.Fatalf("%s flow: %v", spec, err)
+	}
+	return d
 }
 
 // TestDLXClean is the end-to-end proof the issue asks for: the flow's DLX
 // output model-checks clean — deadlock-free, phase-safe and flow
 // equivalent — within the default state budget.
 func TestDLXClean(t *testing.T) {
-	mod := dlxModule(t)
+	mod := converted(t, "dlx").Top
 	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +79,7 @@ func TestDLXClean(t *testing.T) {
 // finish on the DLX) and checks the partial-order reduction is not hiding a
 // shallow violation: the unreduced prefix must be violation-free too.
 func TestDLXFullPrefixAgrees(t *testing.T) {
-	mod := dlxModule(t)
+	mod := converted(t, "dlx").Top
 	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
@@ -87,11 +97,8 @@ func TestDLXFullPrefixAgrees(t *testing.T) {
 // reduced and full mode — the single-region network is small enough to
 // enumerate completely, so it doubles as the reduction soundness check.
 func TestARMClean(t *testing.T) {
-	f, err := expt.RunARMFlow()
-	if err != nil {
-		t.Fatalf("ARM flow: %v", err)
-	}
-	m, err := FromNetwork(f.Desync.Top, ctrlnet.Derive(f.Desync.Top))
+	arm := converted(t, "arm").Top
+	m, err := FromNetwork(arm, ctrlnet.Derive(arm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +118,7 @@ func TestARMClean(t *testing.T) {
 // TestDLXCrossValidation checks the model accepts randomized simulator
 // traces of the real netlist (seeded, so failures reproduce).
 func TestDLXCrossValidation(t *testing.T) {
-	mod := dlxModule(t)
+	mod := converted(t, "dlx").Top
 	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +141,7 @@ func TestDLXCrossValidation(t *testing.T) {
 // its predecessors — and checks the model catches it purely formally, with
 // a concrete counterexample trace and no simulation.
 func TestStuckAckCaughtFormally(t *testing.T) {
-	mod := dlxModule(t)
+	mod := converted(t, "dlx").Top
 	ai := mod.Inst("G2_Mctrl/ai")
 	if ai == nil {
 		t.Fatal("G2_Mctrl/ai not found")

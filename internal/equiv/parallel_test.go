@@ -27,7 +27,7 @@ func jsonOf(t *testing.T, res *Result) []byte {
 // default must visit exactly the same reduced state space (pinned at
 // dlxStates) and produce byte-identical JSON reports.
 func TestExploreParallelDeterministic(t *testing.T) {
-	mod := dlxModule(t)
+	mod := converted(t, "dlx").Top
 	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestExploreParallelDeterministic(t *testing.T) {
 // exact same counterexample — same violated rule, same firing sequence,
 // same enabling marking — as the serial one.
 func TestExploreParallelCounterexampleIdentical(t *testing.T) {
-	mod := dlxModule(t)
+	mod := converted(t, "dlx").Top
 	ai := mod.Inst("G2_Mctrl/ai")
 	if ai == nil {
 		t.Fatal("G2_Mctrl/ai not found")
@@ -89,7 +89,7 @@ func TestExploreParallelCounterexampleIdentical(t *testing.T) {
 // mode (drequiv -no-reduce) with a -max-states truncation: the truncation
 // point and flags must not move with the worker count.
 func TestExploreNoReduceParallelDeterministic(t *testing.T) {
-	mod := dlxModule(t)
+	mod := converted(t, "dlx").Top
 	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestExploreNoReduceParallelDeterministic(t *testing.T) {
 // TestExploreCancellation: a canceled context aborts the search with
 // context.Canceled instead of returning a partial result.
 func TestExploreCancellation(t *testing.T) {
-	mod := dlxModule(t)
+	mod := converted(t, "dlx").Top
 	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestExploreCancellation(t *testing.T) {
 // count, seed, traces — is identical at any worker count, because each
 // trace derives its delay factors from the seed alone.
 func TestCrossValidateParallelDeterministic(t *testing.T) {
-	mod := dlxModule(t)
+	mod := converted(t, "dlx").Top
 	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestCrossValidateParallelDeterministic(t *testing.T) {
 
 // TestCrossValidateCancellation: a canceled context aborts the trace fan-out.
 func TestCrossValidateCancellation(t *testing.T) {
-	mod := dlxModule(t)
+	mod := converted(t, "dlx").Top
 	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
 	if err != nil {
 		t.Fatal(err)

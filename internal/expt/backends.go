@@ -1,10 +1,12 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"desync/internal/core"
+	"desync/internal/netlist"
 	"desync/internal/sta"
 	"desync/internal/twophase"
 )
@@ -23,6 +25,8 @@ type BackendCell struct {
 	// clock period for the twophase backend (what the ring oscillates at).
 	Period       float64
 	PeriodOvhPct float64
+	// Gates is the verified run's verdict line (Flow.RenderGates).
+	Gates string
 }
 
 // BackendRow is one design's line of the comparison: the synchronous
@@ -45,27 +49,35 @@ var DefaultComparisonSpecs = []string{
 // CompareBackends converts every spec with every backend and assembles the
 // comparison rows. The synchronous reference (size and STA period) is taken
 // once per spec from the first backend's run — the reference build is
-// backend-independent by construction.
+// backend-independent by construction. Its period is the critical path
+// scaled by the sizing margin the conversions are held to, not by the
+// design's own clock margin, so every period column carries one margin.
 func CompareBackends(specs, backends []string, cfg FlowConfig) ([]BackendRow, error) {
+	margin := cfg.Margin
+	if margin == 0 {
+		margin = 1.15
+	}
 	var rows []BackendRow
 	for _, spec := range specs {
 		row := BackendRow{Spec: spec}
 		for _, be := range backends {
 			c := cfg
 			c.Backend = be
-			f, err := RunGenFlow(spec, c)
+			f, err := RunFlow(spec, c)
 			if err != nil {
 				return nil, fmt.Errorf("%s with the %s backend: %w", spec, be, err)
 			}
 			if row.Backends == nil {
 				sb := BreakdownOf(f.Sync.Top)
 				row.SyncCells, row.SyncArea = sb.Cells, sb.CellArea
-				row.SyncPeriod = f.Period
+				if row.SyncPeriod, err = sta.ClockPeriod(context.Background(), f.Sync.Top, netlist.Worst, sta.Options{}, margin); err != nil {
+					return nil, err
+				}
 			}
-			db := BreakdownOf(f.Desync.Top)
+			db := BreakdownOf(f.Design.Top)
 			cell := BackendCell{
 				Backend: f.Result.Backend, Cells: db.Cells, CellArea: db.CellArea,
-				Period: operatingPeriod(f.Result, cfg.Margin),
+				Period: operatingPeriod(f.Result, margin), Gates: f.RenderGates(),
 			}
 			if row.SyncArea != 0 {
 				cell.AreaOvhPct = (db.CellArea - row.SyncArea) / row.SyncArea * 100
@@ -89,14 +101,12 @@ func operatingPeriod(res *core.Result, margin float64) float64 {
 	if tp, ok := res.BackendResult.(*twophase.Result); ok {
 		return tp.Period
 	}
-	if margin == 0 {
-		margin = 1.15
-	}
 	return sta.WorstBudget(res.RegionDelays) * margin
 }
 
 // RenderBackendTable prints the comparison in the report layout of
-// EXPERIMENTS.md §Backend comparison.
+// EXPERIMENTS.md §Backend comparison, then the verdicts of every
+// conversion behind it.
 func RenderBackendTable(rows []BackendRow) string {
 	var sb strings.Builder
 	sb.WriteString("Backend comparison: area and cycle time per conversion\n")
@@ -108,6 +118,11 @@ func RenderBackendTable(rows []BackendRow) string {
 		for _, c := range r.Backends {
 			fmt.Fprintf(&sb, "  %-36s %-10s %8d %14.2f %10.2f %12.3f %10.2f\n",
 				"", c.Backend, c.Cells, c.CellArea, c.AreaOvhPct, c.Period, c.PeriodOvhPct)
+		}
+	}
+	for _, r := range rows {
+		for _, c := range r.Backends {
+			sb.WriteString(c.Gates)
 		}
 	}
 	return sb.String()

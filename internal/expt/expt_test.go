@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"desync/internal/core"
 	"desync/internal/netlist"
+	"desync/internal/vflow"
 )
 
 // Table 5.1's reproduced shape: a moderate total overhead dominated by the
@@ -166,11 +168,14 @@ func TestTable52Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.ScanChain < 1000 {
-		t.Fatalf("ARM scan chain only %d flip-flops", f.ScanChain)
+	if tbl.ScanChain < 1000 {
+		t.Fatalf("ARM scan chain only %d flip-flops", tbl.ScanChain)
 	}
-	if f.Coverage < 0.5 {
-		t.Fatalf("vector coverage %.2f too low", f.Coverage)
+	if tbl.Coverage < 0.5 {
+		t.Fatalf("vector coverage %.2f too low", tbl.Coverage)
+	}
+	if f.Result.Grouping.Groups != 1 {
+		t.Fatalf("ARM regions = %d, want the single pre-grouped region of §5.3", f.Result.Grouping.Groups)
 	}
 	seq, _ := Find(tbl.PostSynthesis, "sequential logic (um2)")
 	comb, _ := Find(tbl.PostSynthesis, "combinational logic (um2)")
@@ -186,7 +191,7 @@ func TestTable52Shape(t *testing.T) {
 }
 
 func TestControlOverheadBand(t *testing.T) {
-	f, err := RunDLXFlow(FlowConfig{})
+	f, err := RunFlow("dlx", FlowConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,22 +206,30 @@ func TestControlOverheadBand(t *testing.T) {
 	}
 }
 
-// §6 future work, implemented: SSTA confirms every region's delay element
-// covers its logic with near-certainty on-die (shared global variation
-// cancels in the difference), while an off-die reference with the same
-// nominal margin would not.
 // TestUnderSizedDelayElementFlagged: a delay element sized far below its
 // region's combinational delay must be flagged twice over — statically by
-// the sizing check (Result.UnderMargin) and dynamically by the
-// flow-equivalence check, which sees the too-early capture corrupt the
-// architectural state at the worst corner.
+// the sizing check (Result.UnderMargin), which makes the verified flow
+// bump the margin three times and still ship under margin, and
+// dynamically by the flow-equivalence check, which sees the too-early
+// capture corrupt the architectural state at the worst corner.
 func TestUnderSizedDelayElementFlagged(t *testing.T) {
-	f, err := RunDLXFlow(FlowConfig{Margin: 0.05})
+	f, err := RunFlow("dlx", FlowConfig{Margin: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Result.UnderMargin) == 0 {
 		t.Fatal("margin 0.05 not flagged by the sizing check")
+	}
+	if len(f.Degraded) != 3 {
+		t.Fatalf("fallbacks %+v, want the three margin retries", f.Degraded)
+	}
+	for _, v := range f.Degraded {
+		if v.Step != core.StageSize || !strings.Contains(v.Reason, "retrying with margin") {
+			t.Fatalf("fallback %+v is not a margin retry", v)
+		}
+	}
+	if v := f.Verdict(vflow.GateLint); v.Status != vflow.Downgraded {
+		t.Fatalf("lint verdict %+v, want downgraded: the run ships under margin", v)
 	}
 	run, err := MeasureDDLX(f, netlist.Worst, 1.0, -1, 20)
 	if err != nil {
@@ -230,8 +243,12 @@ func TestUnderSizedDelayElementFlagged(t *testing.T) {
 	}
 }
 
+// §6 future work, implemented: SSTA confirms every region's delay element
+// covers its logic with near-certainty on-die (shared global variation
+// cancels in the difference), while an off-die reference with the same
+// nominal margin would not.
 func TestSSTAMatching(t *testing.T) {
-	f, err := RunDLXFlow(FlowConfig{})
+	f, err := RunFlow("dlx", FlowConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,10 @@ import (
 
 	"desync/internal/faults"
 	"desync/internal/logic"
-	"desync/internal/netlist"
 	"desync/internal/sim"
 )
 
-// FaultCampaignConfig sizes the DLX fault-injection campaign. Every
+// FaultCampaignConfig sizes the fault-injection campaign. Every
 // campaign runs campaignCycles original clock periods and slows
 // campaignDelayPerRegion of the most active datapath gates per region by
 // campaignDelayFactor.
@@ -31,22 +30,17 @@ const (
 	campaignDelayPerRegion = 2
 )
 
-// NewDLXCampaign arms a fault campaign on an already-desynchronized DLX:
-// the same reset sequencing as MeasureDDLX, a deadlock watchdog spanning a
-// few effective periods, and the latch setup guard.
-func NewDLXCampaign(ctx context.Context, f *DLXFlow, cycles int) (*faults.Campaign, error) {
-	return NewCampaign(ctx, f.Desync.Top, f.Period, cycles)
-}
-
-// NewCampaign arms a fault campaign on any desynchronized top whose reset
+// NewCampaign arms a fault campaign on a converted design whose reset
 // follows the flow's convention (an rstn input plus the inserted
 // rst_desync, with delsel[2:0] tied low when present) — every generator
 // ParseSpec builds qualifies. The watchdog horizon and quiescence gap scale
-// with the design's original clock period.
-func NewCampaign(ctx context.Context, top *netlist.Module, period float64, cycles int) (*faults.Campaign, error) {
+// with the design's original clock period; cycles <= 0 runs the campaign's
+// default length.
+func NewCampaign(ctx context.Context, f *Flow, cycles int) (*faults.Campaign, error) {
 	if cycles <= 0 {
 		cycles = campaignCycles
 	}
+	top := f.Design.Top
 	stim := func(s *sim.Simulator) error {
 		if top.Port("delsel[0]") != nil {
 			for i := 0; i < 3; i++ {
@@ -62,24 +56,18 @@ func NewCampaign(ctx context.Context, top *netlist.Module, period float64, cycle
 	}
 	return faults.NewCampaign(ctx, top, faults.Config{
 		Stimulus:      stim,
-		Horizon:       2 + period*float64(cycles)*6,
-		QuiescenceGap: 8 * period,
+		Horizon:       2 + f.Period*float64(cycles)*6,
+		QuiescenceGap: 8 * f.Period,
 	})
 }
 
-// RunDLXFaultCampaign desynchronizes the DLX (when f is nil), then injects
-// the configured delay, stuck-at and optional glitch faults and classifies
-// every one. The flow's §2.5/§4.6 robustness claims predict — and the
-// acceptance tests require — that every under-margin delay fault and every
+// RunFaultCampaign injects the configured delay, stuck-at and optional
+// glitch faults into a converted design and classifies every one. The
+// flow's §2.5/§4.6 robustness claims predict — and the acceptance tests
+// require, on the DLX — that every under-margin delay fault and every
 // control stuck-at fault is detected.
-func RunDLXFaultCampaign(ctx context.Context, f *DLXFlow, cfg FaultCampaignConfig) (*faults.Report, error) {
-	if f == nil {
-		var err error
-		if f, err = RunDLXFlow(FlowConfig{}); err != nil {
-			return nil, err
-		}
-	}
-	c, err := NewDLXCampaign(ctx, f, campaignCycles)
+func RunFaultCampaign(ctx context.Context, f *Flow, cfg FaultCampaignConfig) (*faults.Report, error) {
+	c, err := NewCampaign(ctx, f, campaignCycles)
 	if err != nil {
 		return nil, err
 	}

@@ -36,13 +36,17 @@ type TimingSweep struct {
 // library corners, measuring the desynchronized DLX's effective period and
 // whether it still operates correctly — regenerating Fig 5.3 (and
 // collecting the power data of Fig 5.5 on the way).
-func Fig53(cycles int) (*TimingSweep, *DLXFlow, error) {
-	f, err := RunDLXFlow(FlowConfig{MuxTaps: true})
+func Fig53(cycles int) (*TimingSweep, *Flow, error) {
+	f, err := RunFlow("dlx", FlowConfig{MuxTaps: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	best, err := f.ClockPeriod(netlist.Best)
 	if err != nil {
 		return nil, nil, err
 	}
 	sweep := &TimingSweep{
-		DLXPeriod: map[netlist.Corner]float64{netlist.Worst: f.Period, netlist.Best: f.BestPeriod},
+		DLXPeriod: map[netlist.Corner]float64{netlist.Worst: f.Period, netlist.Best: best},
 		DLXPower:  map[netlist.Corner]float64{},
 	}
 	for _, corner := range []netlist.Corner{netlist.Best, netlist.Worst} {
@@ -141,8 +145,8 @@ type MonteCarlo struct {
 // effective period. sel chooses the delay-element tap (the paper evaluates
 // at the calibrated setup; sel < 0 uses fixed, conservatively sized
 // elements).
-func Fig54(chips, cycles, sel int, seed int64) (*MonteCarlo, *DLXFlow, error) {
-	f, err := RunDLXFlow(FlowConfig{MuxTaps: sel >= 0})
+func Fig54(chips, cycles, sel int, seed int64) (*MonteCarlo, *Flow, error) {
+	f, err := RunFlow("dlx", FlowConfig{MuxTaps: sel >= 0})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -150,7 +154,7 @@ func Fig54(chips, cycles, sel int, seed int64) (*MonteCarlo, *DLXFlow, error) {
 	pop := variability.Sample(rng, chips, 1.0/6)
 	mc := &MonteCarlo{Chips: chips, DLXWorstPeriod: f.Period}
 	for _, chip := range pop {
-		variability.ApplyIntraDie(f.Desync.Top, 0.03, rng)
+		variability.ApplyIntraDie(f.Design.Top, 0.03, rng)
 		run, err := MeasureDDLX(f, netlist.Best, chip.Scale(), sel, cycles)
 		if err != nil {
 			return nil, nil, err
@@ -160,7 +164,7 @@ func Fig54(chips, cycles, sel int, seed int64) (*MonteCarlo, *DLXFlow, error) {
 		}
 		mc.Periods = append(mc.Periods, run.EffectivePeriod)
 	}
-	variability.ResetIntraDie(f.Desync.Top)
+	variability.ResetIntraDie(f.Design.Top)
 	sort.Float64s(mc.Periods)
 	mc.DDLXBest = mc.Periods[0]
 	mc.DDLXWorst = mc.Periods[len(mc.Periods)-1]
@@ -259,7 +263,7 @@ type Ablation struct {
 
 // ControlOverhead measures the §5.2.2 typical-case overhead at the worst
 // corner.
-func ControlOverhead(f *DLXFlow, cycles int) (*Ablation, error) {
+func ControlOverhead(f *Flow, cycles int) (*Ablation, error) {
 	run, err := MeasureDDLX(f, netlist.Worst, 1, -1, cycles)
 	if err != nil {
 		return nil, err

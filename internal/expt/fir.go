@@ -1,77 +1,36 @@
 package expt
 
 import (
-	"context"
 	"fmt"
+	"strings"
 
-	"desync/internal/core"
 	"desync/internal/designs"
 	"desync/internal/logic"
 	"desync/internal/netlist"
 	"desync/internal/sim"
-	"desync/internal/sta"
-	"desync/internal/stdcells"
 )
-
-// FIRFlow holds the third case study: the FIR filter whose boundary
-// regions talk to the environment through generated req/ack ports.
-type FIRFlow struct {
-	Sync   *netlist.Design
-	Desync *netlist.Design
-	Result *core.Result
-	// Period is the synchronous worst-case clock period from STA (ns).
-	Period float64
-	// Env port names the insertion created on the open boundaries.
-	ReqIn, AckIn, ReqOut, AckOut string
-}
-
-// RunFIRFlow desynchronizes the FIR filter (§6 future work: "more study
-// case circuits"): build, take the clock from STA, desynchronize, and
-// resolve the environment handshake ports the testbench discipline of
-// §4.8 drives.
-func RunFIRFlow() (*FIRFlow, error) {
-	lib := stdcells.New(stdcells.HighSpeed)
-	f := &FIRFlow{}
-	var err error
-	if f.Sync, err = designs.BuildFIR(lib); err != nil {
-		return nil, err
-	}
-	core.CleanLogic(f.Sync.Top)
-	if f.Period, err = sta.ClockPeriod(context.Background(), f.Sync.Top, netlist.Worst, sta.Options{}, 1.15); err != nil {
-		return nil, err
-	}
-
-	lib2 := stdcells.New(stdcells.HighSpeed)
-	if f.Desync, err = designs.BuildFIR(lib2); err != nil {
-		return nil, err
-	}
-	f.Result, err = core.Convert(context.Background(), f.Desync, core.Options{Period: f.Period})
-	if err != nil {
-		return nil, err
-	}
-	if len(f.Result.Insert.EnvRequests) != 1 || len(f.Result.Insert.EnvAcks) != 1 {
-		return nil, fmt.Errorf("expt: FIR boundary ports %v / %v, want one open boundary per side",
-			f.Result.Insert.EnvRequests, f.Result.Insert.EnvAcks)
-	}
-	f.ReqIn = f.Result.Insert.EnvRequests[0]
-	f.AckIn = f.ReqIn[:len(f.ReqIn)-len("_ri")] + "_ai"
-	f.AckOut = f.Result.Insert.EnvAcks[0]
-	f.ReqOut = f.AckOut[:len(f.AckOut)-len("_ao")] + "_ro"
-	for _, p := range []string{f.AckIn, f.ReqOut} {
-		if f.Desync.Top.Port(p) == nil {
-			return nil, fmt.Errorf("expt: FIR environment port %s missing", p)
-		}
-	}
-	return f, nil
-}
 
 // MeasureDFIR free-runs the desynchronized FIR against an eager 4-phase
 // environment (the §4.8 testbench discipline) for the given number of
 // samples and measures the steady-state effective period from the
 // accumulator's capture spacing, checking the output stream against the
 // golden FIR model.
-func MeasureDFIR(f *FIRFlow, corner netlist.Corner, samples int) (*MeasureRun, error) {
-	s, err := sim.New(f.Desync.Top, sim.Config{Corner: corner})
+func MeasureDFIR(f *Flow, corner netlist.Corner, samples int) (*MeasureRun, error) {
+	// The environment handshake ports the insertion created on the FIR's
+	// open boundaries: one request in, one acknowledge out.
+	ins, outs := f.Result.Insert.EnvRequests, f.Result.Insert.EnvAcks
+	if len(ins) != 1 || len(outs) != 1 {
+		return nil, fmt.Errorf("expt: FIR boundary ports %v / %v, want one open boundary per side", ins, outs)
+	}
+	reqIn, ackOut := ins[0], outs[0]
+	ackIn := strings.TrimSuffix(reqIn, "_ri") + "_ai"
+	reqOut := strings.TrimSuffix(ackOut, "_ao") + "_ro"
+	for _, p := range []string{ackIn, reqOut} {
+		if f.Design.Top.Port(p) == nil {
+			return nil, fmt.Errorf("expt: FIR environment port %s missing", p)
+		}
+	}
+	s, err := sim.New(f.Design.Top, sim.Config{Corner: corner})
 	if err != nil {
 		return nil, err
 	}
@@ -87,37 +46,37 @@ func MeasureDFIR(f *FIRFlow, corner netlist.Corner, samples int) (*MeasureRun, e
 	// settling of the acknowledge, not handshakes.
 	const kickAt = 3.5
 	next := 0
-	if err := s.OnChange(f.AckIn, func(tm float64, v logic.V) {
+	if err := s.OnChange(ackIn, func(tm float64, v logic.V) {
 		if tm <= kickAt {
 			return
 		}
 		if v == logic.H {
-			s.Drive(f.ReqIn, logic.L, tm+0.1)
+			s.Drive(reqIn, logic.L, tm+0.1)
 			return
 		}
 		if next < len(stream) {
 			s.DriveVector("x", designs.FIRWidth, stream[next], tm+0.2)
 			next++
-			s.Drive(f.ReqIn, logic.H, tm+1.0)
+			s.Drive(reqIn, logic.H, tm+1.0)
 		}
 	}); err != nil {
 		return nil, err
 	}
 	// Output side: an eager 4-phase consumer.
-	if err := s.OnChange(f.ReqOut, func(tm float64, v logic.V) {
-		s.Drive(f.AckOut, v, tm+0.2)
+	if err := s.OnChange(reqOut, func(tm float64, v logic.V) {
+		s.Drive(ackOut, v, tm+0.2)
 	}); err != nil {
 		return nil, err
 	}
 	s.Drive("rstn", logic.L, 0)
 	s.Drive("rst_desync", logic.H, 0)
-	s.Drive(f.ReqIn, logic.L, 0)
-	s.Drive(f.AckOut, logic.L, 0)
+	s.Drive(reqIn, logic.L, 0)
+	s.Drive(ackOut, logic.L, 0)
 	s.Drive("rstn", logic.H, 1)
 	s.Drive("rst_desync", logic.L, 2)
 	s.DriveVector("x", designs.FIRWidth, stream[0], 2.5)
 	next = 1
-	s.Drive(f.ReqIn, logic.H, kickAt)
+	s.Drive(reqIn, logic.H, kickAt)
 	if err := s.Run(f.Period * float64(samples) * 8); err != nil {
 		return nil, err
 	}

@@ -1,45 +1,29 @@
 // Package expt regenerates every table and figure of the paper's
-// evaluation (Chapter 5, plus Table 2.1 and Fig 2.4): it runs the full
-// synchronous and desynchronization flows on the two case studies, measures
-// area, timing, power and variability tolerance, and renders the results as
-// text tables. cmd/experiments and bench_test.go drive it.
+// evaluation (Chapter 5, plus Table 2.1 and Fig 2.4): it forks each case
+// study into a synchronous branch and one converted through the verified
+// flow, measures area, timing, power and variability tolerance, and renders
+// the results as text tables. cmd/experiments and bench_test.go drive it.
 package expt
 
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"desync/internal/core"
 	"desync/internal/designs"
 	"desync/internal/dft"
 	"desync/internal/logic"
 	"desync/internal/netlist"
-	"desync/internal/pnr"
 	"desync/internal/power"
 	"desync/internal/sim"
 	"desync/internal/sta"
-	"desync/internal/stdcells"
+	"desync/internal/vflow"
 )
 
-// DLXFlow holds the fully implemented synchronous and desynchronized DLX.
-type DLXFlow struct {
-	Sync   *netlist.Design
-	Desync *netlist.Design
-	Result *core.Result
-	// Period is the synchronous worst-case clock period from STA (ns).
-	Period float64
-	// BestPeriod is the same budget at the best corner.
-	BestPeriod float64
-	// Layouts when P&R has run.
-	SyncLayout, DesyncLayout *pnr.Layout
-	// Post-synthesis snapshots taken before P&R.
-	SyncSynth, DesyncSynth Breakdown
-}
-
-// FlowConfig selects optional steps.
+// FlowConfig selects the conversion options of one experiment.
 type FlowConfig struct {
 	MuxTaps bool
-	Layout  bool
 	// Margin overrides the delay-element sizing margin (0 = default).
 	Margin float64
 	// SingleRegion desynchronizes the whole design as one region (the
@@ -52,116 +36,102 @@ type FlowConfig struct {
 	Mode core.Mode
 }
 
-// RunDLXFlow implements the experimental procedure of Fig 5.1 for the DLX:
-// the same generated netlist goes once through the synchronous backend and
-// once through desynchronization plus the same backend.
-func RunDLXFlow(cfg FlowConfig) (*DLXFlow, error) {
-	lib := stdcells.New(stdcells.HighSpeed)
-	prog := designs.TestProgram()
-	f := &DLXFlow{}
+// Flow is one run of the experimental procedure of Fig 5.1: the same
+// generated netlist is built twice, one copy stays synchronous and the
+// other goes through the verified conversion flow (vflow.Run), with the
+// same gates and §5.3 fallbacks drdesync and drserve run. The embedded
+// Outcome holds the converted design, the flow result and every verdict
+// and fallback behind an experiment's numbers.
+type Flow struct {
+	// Spec is the designs.ParseSpec generator spec both branches build.
+	Spec string
+	// Sync is the synchronous branch, cleaned the way the conversion's
+	// import cleans, so area comparisons start from the same logical
+	// netlist.
+	Sync *netlist.Design
+	// Period is the synchronous worst-corner clock period from STA (ns);
+	// it also clocks the conversion.
+	Period float64
+	*vflow.Outcome
+}
+
+// RunFlow runs the experimental procedure for a generator spec. The ARM
+// is built as a scan design on both branches (§5.3). Pre-grouped
+// generators keep the region assignment they bake into the instances;
+// the ARM is one of them, so it converts as the single region §5.3 used.
+func RunFlow(spec string, cfg FlowConfig) (*Flow, error) {
+	f := &Flow{Spec: spec}
 	var err error
-	if f.Sync, err = designs.BuildDLX(lib, prog); err != nil {
+	if f.Sync, err = build(spec); err != nil {
 		return nil, err
 	}
-	// A second identical netlist for the desynchronization branch (the
-	// paper's flow forks the post-synthesis netlist).
-	lib2 := stdcells.New(stdcells.HighSpeed)
-	if f.Desync, err = designs.BuildDLX(lib2, prog); err != nil {
-		return nil, err
-	}
-	// Remove generator buffering artifacts from the synchronous branch the
-	// same way the desynchronization import does, so the area comparison
-	// starts from the same logical netlist.
 	core.CleanLogic(f.Sync.Top)
-	// The synchronous clock at both corners, with a small clock margin.
-	if f.Period, err = sta.ClockPeriod(context.Background(), f.Sync.Top, netlist.Worst, sta.Options{}, 1.05); err != nil {
+	if f.Period, err = f.ClockPeriod(netlist.Worst); err != nil {
 		return nil, err
 	}
-	if f.BestPeriod, err = sta.ClockPeriod(context.Background(), f.Sync.Top, netlist.Best, sta.Options{}, 1.05); err != nil {
-		return nil, err
-	}
-	if cfg.SingleRegion {
-		for _, in := range f.Desync.Top.Insts {
-			in.Group = 1
+	f.Outcome, err = vflow.Run(context.Background(), func() (*netlist.Design, error) {
+		d, err := build(spec)
+		if err == nil && cfg.SingleRegion {
+			for _, in := range d.Top.Insts {
+				in.Group = 1
+			}
 		}
-	}
-	f.Result, err = core.Convert(context.Background(), f.Desync, core.Options{
+		return d, err
+	}, vflow.Options{Flow: core.Options{
 		Backend:      cfg.Backend,
 		Mode:         cfg.Mode,
 		Period:       f.Period,
 		Margin:       cfg.Margin,
 		MuxTaps:      cfg.MuxTaps,
-		ManualGroups: cfg.SingleRegion,
-	})
+		ManualGroups: cfg.SingleRegion || designs.PreGrouped(spec),
+	}})
 	if err != nil {
 		return nil, err
-	}
-	f.SyncSynth = BreakdownOf(f.Sync.Top)
-	f.DesyncSynth = BreakdownOf(f.Desync.Top)
-	if cfg.Layout {
-		opts := pnr.DefaultOptions()
-		opts.Utilization = 0.95
-		if f.SyncLayout, err = pnr.PlaceAndRoute(f.Sync, opts); err != nil {
-			return nil, err
-		}
-		opts.Utilization = 0.91
-		if f.DesyncLayout, err = pnr.PlaceAndRoute(f.Desync, opts); err != nil {
-			return nil, err
-		}
 	}
 	return f, nil
 }
 
-// ARMFlow holds the ARM case study (area only, as in §5.3). Coverage and
-// the layouts are filled by Table52 only.
-type ARMFlow struct {
-	Sync, Desync             *netlist.Design
-	Result                   *core.Result
-	ScanChain                int
-	Coverage                 float64
-	SyncSynth, DesyncSynth   Breakdown
-	SyncLayout, DesyncLayout *pnr.Layout
+// build generates one branch of spec.
+func build(spec string) (*netlist.Design, error) {
+	d, err := designs.ParseSpec(spec, nil)
+	if err != nil || spec != "arm" {
+		return d, err
+	}
+	_, err = dft.InsertScan(d)
+	return d, err
 }
 
-// RunARMFlow builds the ARM-like scan design on the Low-Leakage library,
-// inserts scan and desynchronizes it as a single region (§5.3: grouping
-// the ARM automatically was not possible; one group was used).
-func RunARMFlow() (*ARMFlow, error) {
-	f := &ARMFlow{}
-	build := func() (*netlist.Design, error) {
-		lib := stdcells.New(stdcells.LowLeakage)
-		d, err := designs.BuildARMLike(lib, 42)
-		if err != nil {
-			return nil, err
+// ClockPeriod is the synchronous branch's STA clock period at a corner,
+// with the clock margin of the design's case study: 5% for the DLX and
+// the ARM (§5.2, §5.3), 15% for everything else.
+func (f *Flow) ClockPeriod(corner netlist.Corner) (float64, error) {
+	margin := 1.15
+	if f.Spec == "dlx" || f.Spec == "arm" {
+		margin = 1.05
+	}
+	return sta.ClockPeriod(context.Background(), f.Sync.Top, corner, sta.Options{}, margin)
+}
+
+// RenderGates prints the verified run behind an experiment's numbers: one
+// line naming every gate's verdict (with the reason when it did not simply
+// run), then one line per fallback that fired.
+func (f *Flow) RenderGates() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "  verified flow (%s, %s):", f.Spec, f.Result.Backend)
+	for i, v := range f.Verdicts {
+		if i > 0 {
+			sb.WriteByte(',')
 		}
-		res, err := dft.InsertScan(d)
-		if err != nil {
-			return nil, err
+		fmt.Fprintf(&sb, " %s %s", v.Step, v.Status)
+		if v.Status != vflow.Ran {
+			fmt.Fprintf(&sb, " (%s)", v.Reason)
 		}
-		f.ScanChain = res.ChainLen
-		return d, nil
 	}
-	var err error
-	if f.Sync, err = build(); err != nil {
-		return nil, err
+	sb.WriteByte('\n')
+	for _, v := range f.Degraded {
+		fmt.Fprintf(&sb, "  fallback at %s: %s\n", v.Step, v.Reason)
 	}
-	core.CleanLogic(f.Sync.Top)
-	if f.Desync, err = build(); err != nil {
-		return nil, err
-	}
-	period, err := sta.ClockPeriod(context.Background(), f.Sync.Top, netlist.Worst, sta.Options{}, 1.05)
-	if err != nil {
-		return nil, err
-	}
-	if f.Result, err = core.Convert(context.Background(), f.Desync, core.Options{
-		Period:       period,
-		ManualGroups: true,
-	}); err != nil {
-		return nil, err
-	}
-	f.SyncSynth = BreakdownOf(f.Sync.Top)
-	f.DesyncSynth = BreakdownOf(f.Desync.Top)
-	return f, nil
+	return sb.String()
 }
 
 // MeasureRun is one desynchronized simulation outcome.
@@ -177,8 +147,8 @@ type MeasureRun struct {
 // scaled for inter-die variability) with the given delay selection, and
 // measures the effective period, correctness against the golden model and
 // power. sel < 0 means the design has no selection ports.
-func MeasureDDLX(f *DLXFlow, corner netlist.Corner, scale float64, sel int, cycles int) (*MeasureRun, error) {
-	s, err := sim.New(f.Desync.Top, sim.Config{Corner: corner, Scale: scale})
+func MeasureDDLX(f *Flow, corner netlist.Corner, scale float64, sel int, cycles int) (*MeasureRun, error) {
+	s, err := sim.New(f.Design.Top, sim.Config{Corner: corner, Scale: scale})
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +232,7 @@ func MeasureDDLX(f *DLXFlow, corner netlist.Corner, scale float64, sel int, cycl
 
 	// Power over the active window.
 	duration := times[len(times)-1] - 2
-	rep, err := power.Estimate(f.Desync.Top, s, duration, corner)
+	rep, err := power.Estimate(f.Design.Top, s, duration, corner)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +242,7 @@ func MeasureDDLX(f *DLXFlow, corner netlist.Corner, scale float64, sel int, cycl
 
 // MeasureDLX simulates the synchronous DLX at a corner and period and
 // returns its power (its period is the clock, not a measurement).
-func MeasureDLX(f *DLXFlow, corner netlist.Corner, period float64, cycles int) (*MeasureRun, error) {
+func MeasureDLX(f *Flow, corner netlist.Corner, period float64, cycles int) (*MeasureRun, error) {
 	s, err := sim.New(f.Sync.Top, sim.Config{Corner: corner})
 	if err != nil {
 		return nil, err

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestRunGenFlow pushes a small parametric pipeline through the generic
-// desynchronization flow — the path drequiv/drsweep take for -gen specs —
-// and checks the manual grouping survived into the control network.
-func TestRunGenFlow(t *testing.T) {
-	f, err := RunGenFlow("pipeline:depth=4,width=16,regions=2", FlowConfig{})
+// TestRunFlowPipeline pushes a small parametric pipeline through the
+// experiment flow — the path drequiv/drsweep take for -gen specs — and
+// checks the manual grouping survived into the control network.
+func TestRunFlowPipeline(t *testing.T) {
+	f, err := RunFlow("pipeline:depth=4,width=16,regions=2", FlowConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,13 +19,13 @@ func TestRunGenFlow(t *testing.T) {
 	if got := len(f.Result.Network.Regions); got != 2 {
 		t.Fatalf("regions = %d, want 2", got)
 	}
-	if f.Desync.Top.Port("rst_desync") == nil {
+	if f.Design.Top.Port("rst_desync") == nil {
 		t.Fatal("desynchronized top has no rst_desync")
 	}
 }
 
-func TestRunGenFlowRejects(t *testing.T) {
-	if _, err := RunGenFlow("pipeline:depth=0", FlowConfig{}); err == nil {
+func TestRunFlowRejects(t *testing.T) {
+	if _, err := RunFlow("pipeline:depth=0", FlowConfig{}); err == nil {
 		t.Fatal("want error for invalid spec")
 	}
 }

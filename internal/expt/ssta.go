@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"desync/internal/core"
 	"desync/internal/ctrlnet"
 	"desync/internal/netlist"
 	"desync/internal/ssta"
@@ -33,13 +32,8 @@ type MatchRow struct {
 // spectrum of operating conditions. The shared-global coverage is the real
 // situation (element and logic on the same die); the independent column
 // shows what an off-die reference of the same nominal margin would achieve.
-func SSTAMatching(f *DLXFlow) ([]MatchRow, error) {
-	return SSTAMatchingDesign(f.Desync, f.Result)
-}
-
-// SSTAMatchingDesign is SSTAMatching over any desynchronized design and
-// its flow result (the DLX, ARM and FIR case studies all qualify).
-func SSTAMatchingDesign(d *netlist.Design, res *core.Result) ([]MatchRow, error) {
+func SSTAMatching(f *Flow) ([]MatchRow, error) {
+	d, res := f.Design, f.Result
 	model := ssta.DefaultModel(stdcells.CornerSpread)
 	r, err := ssta.Analyze(d.Top, sta.Options{
 		Disabled: res.DisabledArcMap(),

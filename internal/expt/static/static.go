@@ -4,9 +4,9 @@
 // together with a wall-clock comparison of the two analysis engines over
 // the same model extraction.
 //
-// It lives in a subpackage of expt because expt itself must stay
-// importable from equiv's tests: expt/static imports mga, mga imports
-// equiv, and an expt→mga edge would close an import cycle.
+// The static side is the report the verified flow's static gate already
+// produced for each converted case study; this package re-times it and
+// sets the dynamic oracles beside it.
 package static
 
 import (
@@ -15,7 +15,6 @@ import (
 	"io"
 	"time"
 
-	"desync/internal/core"
 	"desync/internal/ctrlnet"
 	"desync/internal/equiv"
 	"desync/internal/expt"
@@ -70,6 +69,9 @@ type Table struct {
 	Rows []Row
 	// DLXFull is the unreduced DLX run (the exhaustive baseline).
 	DLXFull FullBFS
+	// Gates holds each case study's verified-flow verdict line
+	// (expt.Flow.RenderGates), in row order.
+	Gates []string
 }
 
 // timeStatic measures mga.AnalyzeModel over a prebuilt extraction,
@@ -107,8 +109,8 @@ func timeBFS(m *equiv.Model, reps int) (float64, int) {
 
 // sstaWorst returns the 3σ quantile of the slowest region's logic
 // distribution (0 when SSTA cannot run on the design).
-func sstaWorst(d *netlist.Design, res *core.Result) float64 {
-	rows, err := expt.SSTAMatchingDesign(d, res)
+func sstaWorst(f *expt.Flow) float64 {
+	rows, err := expt.SSTAMatching(f)
 	if err != nil {
 		return 0
 	}
@@ -121,28 +123,31 @@ func sstaWorst(d *netlist.Design, res *core.Result) float64 {
 	return worst
 }
 
-// row builds one cross-check row from a desynchronized design, timing
-// both engines over a single shared extraction.
-func row(name string, d *netlist.Design, res *core.Result, simNs float64, reps int) (Row, *equiv.Model, error) {
-	cn := ctrlnet.Derive(d.Top)
-	m, err := equiv.FromNetwork(d.Top, cn)
+// add appends the cross-check row of a converted case study: the verdicts
+// and period bound of the flow's static gate, and both engines timed over
+// one shared extraction of the flow's control network. It returns the
+// extraction.
+func (t *Table) add(f *expt.Flow, simNs float64, reps int) (*equiv.Model, error) {
+	top, cn, rep := f.Design.Top, f.Result.Network, f.Static
+	m, err := equiv.FromNetwork(top, cn)
 	if err != nil {
-		return Row{}, nil, fmt.Errorf("%s: %w", name, err)
+		return nil, fmt.Errorf("%s: %w", f.Spec, err)
 	}
-	rep := mga.AnalyzeModel(d.Top, cn, m, mga.Options{})
 	r := Row{
-		Design: name, Regions: rep.Regions, Places: rep.PlaceCount,
+		Design: f.Spec, Regions: rep.Regions, Places: rep.PlaceCount,
 		Transitions: rep.Transitions,
 		Live:        rep.Live, Safe: rep.Safe,
 		StaticNs: rep.PeriodNs, SimNs: simNs,
-		SSTANs: sstaWorst(d, res),
+		SSTANs: sstaWorst(f),
 	}
-	r.StaticUS = timeStatic(d.Top, cn, m, reps)
+	r.StaticUS = timeStatic(top, cn, m, reps)
 	r.BFSUS, r.BFSStates = timeBFS(m, reps)
 	if r.StaticUS > 0 {
 		r.Speedup = r.BFSUS / r.StaticUS
 	}
-	return r, m, nil
+	t.Rows = append(t.Rows, r)
+	t.Gates = append(t.Gates, f.RenderGates())
+	return m, nil
 }
 
 // Options sizes the experiment.
@@ -177,7 +182,7 @@ func Run(opts Options) (*Table, error) {
 	t := &Table{}
 
 	// DLX: full flow, measured period, plus the unreduced baseline.
-	dlx, err := expt.RunDLXFlow(expt.FlowConfig{})
+	dlx, err := expt.RunFlow("dlx", expt.FlowConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -185,11 +190,10 @@ func Run(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, m, err := row("dlx", dlx.Desync, dlx.Result, mr.EffectivePeriod, reps)
+	m, err := t.add(dlx, mr.EffectivePeriod, reps)
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = append(t.Rows, r)
 	t0 := time.Now()
 	full, err := m.Explore(context.Background(), equiv.ExploreOptions{NoReduce: true})
 	if err != nil {
@@ -205,19 +209,17 @@ func Run(opts Options) (*Table, error) {
 	// ARM: area-only case study — no simulation testbench, so the sim
 	// column stays empty; the static and BFS verdicts still cross-check.
 	if !opts.SkipARM {
-		arm, err := expt.RunARMFlow()
+		arm, err := expt.RunFlow("arm", expt.FlowConfig{})
 		if err != nil {
 			return nil, err
 		}
-		r, _, err := row("arm", arm.Desync, arm.Result, 0, reps)
-		if err != nil {
+		if _, err := t.add(arm, 0, reps); err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, r)
 	}
 
 	// FIR: boundary-handshake case study with a streaming testbench.
-	fir, err := expt.RunFIRFlow()
+	fir, err := expt.RunFlow("fir", expt.FlowConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -225,11 +227,9 @@ func Run(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, _, err = row("fir", fir.Desync, fir.Result, fr.EffectivePeriod, reps)
-	if err != nil {
+	if _, err := t.add(fir, fr.EffectivePeriod, reps); err != nil {
 		return nil, err
 	}
-	t.Rows = append(t.Rows, r)
 	return t, nil
 }
 
@@ -248,6 +248,9 @@ func Render(w io.Writer, t *Table) {
 			r.Design, r.Regions, r.Places, r.Live, r.Safe,
 			r.StaticNs, sim, r.SSTANs,
 			r.StaticUS, r.BFSUS, r.BFSStates, r.Speedup)
+	}
+	for _, g := range t.Gates {
+		io.WriteString(w, g)
 	}
 	f := t.DLXFull
 	if f.US > 0 {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"desync/internal/netlist"
 	"desync/internal/stdcells"
 	"desync/internal/sweep"
 )
@@ -45,26 +44,13 @@ type SurfaceConfig struct {
 	Progress func(done, total int)
 }
 
-// DLXRobustnessSurface desynchronizes the DLX (when f is nil) and sweeps
-// the robustness surface: the fault campaign's matrix evaluated at every
-// corner-grid point with Monte Carlo mismatch on top. Flow equivalence
-// predicts the surface is flat at 100% detection for the under-margin and
-// stuck-at classes — the delay-insensitivity claim, measured instead of
-// assumed.
-func DLXRobustnessSurface(ctx context.Context, f *DLXFlow, cfg SurfaceConfig) (*sweep.Report, error) {
-	if f == nil {
-		var err error
-		if f, err = RunDLXFlow(FlowConfig{}); err != nil {
-			return nil, err
-		}
-	}
-	return RobustnessSurface(ctx, f.Desync.Top, f.Period, cfg)
-}
-
-// RobustnessSurface sweeps the same surface over any desynchronized top
-// that follows the flow's reset convention — drsweep's -gen path hands it
-// the generic-flow output for parametric pipeline designs.
-func RobustnessSurface(ctx context.Context, top *netlist.Module, period float64, cfg SurfaceConfig) (*sweep.Report, error) {
+// RobustnessSurface sweeps the robustness surface of a converted design
+// that follows the flow's reset convention: the fault campaign's matrix
+// evaluated at every corner-grid point with Monte Carlo mismatch on top.
+// Flow equivalence predicts the surface is flat at 100% detection for the
+// under-margin and stuck-at classes — the delay-insensitivity claim,
+// measured instead of assumed.
+func RobustnessSurface(ctx context.Context, f *Flow, cfg SurfaceConfig) (*sweep.Report, error) {
 	if cfg.Corners <= 0 {
 		cfg.Corners = 3
 	}
@@ -83,14 +69,14 @@ func RobustnessSurface(ctx context.Context, top *netlist.Module, period float64,
 	if cfg.DelayPerRegion == 0 {
 		cfg.DelayPerRegion = campaignDelayPerRegion
 	}
-	c, err := NewCampaign(ctx, top, period, cfg.Cycles)
+	c, err := NewCampaign(ctx, f, cfg.Cycles)
 	if err != nil {
 		return nil, err
 	}
 	list := c.DelayFaults(cfg.DelayFactor, cfg.DelayPerRegion)
 	list = append(list, c.ControlStuckFaults()...)
 	if cfg.Glitches {
-		mid := 2 + period*float64(cfg.Cycles)*3
+		mid := 2 + f.Period*float64(cfg.Cycles)*3
 		list = append(list, c.GlitchFaults(mid, 0.3)...)
 	}
 	if len(list) == 0 {

@@ -62,10 +62,31 @@ type AreaTable struct {
 	Design        string
 	PostSynthesis []AreaRow
 	PostLayout    []AreaRow
+	// BestPeriod is Table 5.1's synchronous clock at the best corner,
+	// taken before layout adds clock-tree buffers and wire delays.
+	BestPeriod float64
+	// ScanChain and Coverage are Table 5.2's scan-chain length and the
+	// scan design's random-pattern stuck-at coverage.
+	ScanChain int
+	Coverage  float64
 }
 
-// buildAreaTable assembles the table from the flow snapshots.
-func buildAreaTable(design string, ss, ds Breakdown, sl, dl layoutReport) *AreaTable {
+// areaTable lays out both branches of f, at the synchronous and the
+// converted branch's core utilization, and assembles the table from the
+// post-synthesis snapshots taken before layout.
+func areaTable(design string, f *Flow, syncUtil, desyncUtil float64) (*AreaTable, error) {
+	ss, ds := BreakdownOf(f.Sync.Top), BreakdownOf(f.Design.Top)
+	opts := pnr.DefaultOptions()
+	opts.Utilization = syncUtil
+	sl, err := pnr.PlaceAndRoute(f.Sync, opts)
+	if err != nil {
+		return nil, err
+	}
+	opts.Utilization = desyncUtil
+	dl, err := pnr.PlaceAndRoute(f.Design, opts)
+	if err != nil {
+		return nil, err
+	}
 	t := &AreaTable{Design: design}
 	t.PostSynthesis = []AreaRow{
 		row("# nets", float64(ss.Nets), float64(ds.Nets)),
@@ -74,40 +95,41 @@ func buildAreaTable(design string, ss, ds Breakdown, sl, dl layoutReport) *AreaT
 		row("combinational logic (um2)", ss.CombArea, ds.CombArea),
 		row("sequential logic (um2)", ss.SeqArea, ds.SeqArea),
 	}
+	s, d := sl.Report, dl.Report
 	t.PostLayout = []AreaRow{
-		row("# nets", float64(sl.nets), float64(dl.nets)),
-		row("# cells", float64(sl.cells), float64(dl.cells)),
-		row("standard cell area (um2)", sl.stdArea, dl.stdArea),
-		row("core size (um2)", sl.coreArea, dl.coreArea),
-		row("core utilization (%)", sl.util, dl.util),
+		row("# nets", float64(s.Nets), float64(d.Nets)),
+		row("# cells", float64(s.Cells), float64(d.Cells)),
+		row("standard cell area (um2)", s.StdCellArea, d.StdCellArea),
+		row("core size (um2)", s.CoreArea, d.CoreArea),
+		row("core utilization (%)", s.Utilization, d.Utilization),
 	}
-	return t
-}
-
-type layoutReport struct {
-	nets, cells       int
-	stdArea, coreArea float64
-	util              float64
+	return t, nil
 }
 
 // Table51 runs the full DLX experiment and returns the area table of §5.2.1.
-func Table51() (*AreaTable, *DLXFlow, error) {
-	f, err := RunDLXFlow(FlowConfig{Layout: true})
+func Table51() (*AreaTable, *Flow, error) {
+	f, err := RunFlow("dlx", FlowConfig{})
 	if err != nil {
 		return nil, nil, err
 	}
-	sl := layoutReport{f.SyncLayout.Report.Nets, f.SyncLayout.Report.Cells,
-		f.SyncLayout.Report.StdCellArea, f.SyncLayout.Report.CoreArea, f.SyncLayout.Report.Utilization}
-	dl := layoutReport{f.DesyncLayout.Report.Nets, f.DesyncLayout.Report.Cells,
-		f.DesyncLayout.Report.StdCellArea, f.DesyncLayout.Report.CoreArea, f.DesyncLayout.Report.Utilization}
-	return buildAreaTable("DLX vs DDLX", f.SyncSynth, f.DesyncSynth, sl, dl), f, nil
+	best, err := f.ClockPeriod(netlist.Best)
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := areaTable("DLX vs DDLX", f, 0.95, 0.91)
+	if err != nil {
+		return nil, nil, err
+	}
+	t.BestPeriod = best
+	return t, f, nil
 }
 
 // Table52 runs the ARM experiment and returns the area table of §5.3.1,
 // with the scan design's random-pattern stuck-at coverage (64 vectors,
-// taken before layout) and both layouts.
-func Table52() (*AreaTable, *ARMFlow, error) {
-	f, err := RunARMFlow()
+// taken before layout) and both layouts. The paper's ARM used a roomier
+// floorplan than the DLX.
+func Table52() (*AreaTable, *Flow, error) {
+	f, err := RunFlow("arm", FlowConfig{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -115,21 +137,17 @@ func Table52() (*AreaTable, *ARMFlow, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	f.Coverage = cov.Coverage()
-	opts := pnr.DefaultOptions()
-	opts.Utilization = 0.80 // the paper's ARM used a roomier floorplan
-	if f.SyncLayout, err = pnr.PlaceAndRoute(f.Sync, opts); err != nil {
+	t, err := areaTable("ARM vs DARM", f, 0.80, 0.88)
+	if err != nil {
 		return nil, nil, err
 	}
-	opts.Utilization = 0.88
-	if f.DesyncLayout, err = pnr.PlaceAndRoute(f.Desync, opts); err != nil {
-		return nil, nil, err
+	t.Coverage = cov.Coverage()
+	for _, in := range f.Sync.Top.Insts {
+		if in.Origin == "scan" && in.Cell.IsSequential() {
+			t.ScanChain++
+		}
 	}
-	sl := layoutReport{f.SyncLayout.Report.Nets, f.SyncLayout.Report.Cells,
-		f.SyncLayout.Report.StdCellArea, f.SyncLayout.Report.CoreArea, f.SyncLayout.Report.Utilization}
-	dl := layoutReport{f.DesyncLayout.Report.Nets, f.DesyncLayout.Report.Cells,
-		f.DesyncLayout.Report.StdCellArea, f.DesyncLayout.Report.CoreArea, f.DesyncLayout.Report.Utilization}
-	return buildAreaTable("ARM vs DARM", f.SyncSynth, f.DesyncSynth, sl, dl), f, nil
+	return t, f, nil
 }
 
 // Render prints the table in the paper's layout.

@@ -17,7 +17,7 @@ import (
 // faults travel as per-simulator factor snapshots).
 var (
 	once     sync.Once
-	flow     *expt.DLXFlow
+	flow     *expt.Flow
 	campaign *faults.Campaign
 	buildErr error
 )
@@ -25,11 +25,11 @@ var (
 func dlxCampaign(t *testing.T) *faults.Campaign {
 	t.Helper()
 	once.Do(func() {
-		flow, buildErr = expt.RunDLXFlow(expt.FlowConfig{})
+		flow, buildErr = expt.RunFlow("dlx", expt.FlowConfig{})
 		if buildErr != nil {
 			return
 		}
-		campaign, buildErr = expt.NewDLXCampaign(context.Background(), flow, 10)
+		campaign, buildErr = expt.NewCampaign(context.Background(), flow, 10)
 	})
 	if buildErr != nil {
 		t.Fatalf("building DLX campaign: %v", buildErr)

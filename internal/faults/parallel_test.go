@@ -52,8 +52,8 @@ func TestCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := expt.NewDLXCampaign(ctx, flow, 10); !errors.Is(err, context.Canceled) {
-		t.Fatalf("NewDLXCampaign err = %v, want context.Canceled", err)
+	if _, err := expt.NewCampaign(ctx, flow, 10); !errors.Is(err, context.Canceled) {
+		t.Fatalf("NewCampaign err = %v, want context.Canceled", err)
 	}
 	list := c.DelayFaults(40, 1)
 	if _, err := c.Run(ctx, list); !errors.Is(err, context.Canceled) {

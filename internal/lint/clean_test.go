@@ -26,12 +26,12 @@ func mustClean(t *testing.T, what string, rep *lint.Report) {
 // zero findings after (netlist + control-network rules cross-checked
 // against the generated constraints).
 func TestDLXGoldenFlowLintsClean(t *testing.T) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
+	f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustClean(t, "synchronous DLX", lint.Check(f.Sync.Top, lint.Options{}))
-	mustClean(t, "desynchronized DLX", lint.Check(f.Desync.Top, lint.Options{
+	mustClean(t, "desynchronized DLX", lint.Check(f.Design.Top, lint.Options{
 		Desync:      true,
 		Constraints: f.Result.Constraints,
 	}))
@@ -68,11 +68,11 @@ func TestARMGoldenFlowLintsClean(t *testing.T) {
 // generator here; each fault's factor is applied in memory, linted, and
 // restored.
 func TestDelayFaultsFlaggedStatically(t *testing.T) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
+	f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := expt.NewDLXCampaign(context.Background(), f, 0)
+	c, err := expt.NewCampaign(context.Background(), f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestDelayFaultsFlaggedStatically(t *testing.T) {
 		t.Fatalf("campaign generated %d delay faults, want 8", len(fts))
 	}
 	for _, ft := range fts {
-		in := f.Desync.Top.Inst(ft.Inst)
+		in := f.Design.Top.Inst(ft.Inst)
 		if in == nil {
 			t.Fatalf("fault targets unknown instance %s", ft.Inst)
 		}
@@ -91,7 +91,7 @@ func TestDelayFaultsFlaggedStatically(t *testing.T) {
 			base = 1
 		}
 		in.DelayFactor = base * ft.Factor
-		rep := lint.Check(f.Desync.Top, lint.Options{
+		rep := lint.Check(f.Design.Top, lint.Options{
 			Desync:      true,
 			Constraints: f.Result.Constraints,
 		})
@@ -102,7 +102,7 @@ func TestDelayFaultsFlaggedStatically(t *testing.T) {
 	}
 	// With every factor restored the design is clean again: the checks
 	// above measured the faults, not leftover state.
-	mustClean(t, "restored DLX", lint.Check(f.Desync.Top, lint.Options{
+	mustClean(t, "restored DLX", lint.Check(f.Design.Top, lint.Options{
 		Desync:      true,
 		Constraints: f.Result.Constraints,
 	}))

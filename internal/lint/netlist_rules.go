@@ -116,7 +116,7 @@ func (v *view) isComb(in *netlist.Inst) bool {
 // submodule when the connection was made, instead of looking the pin up by
 // name. A pin the instance does not declare (only SetConnUnchecked writes
 // one) carries In yet reads nothing, so an input connection also checks
-// the declaration, scanning the cell's few pins instead of hashing.
+// the declaration.
 func reads(in *netlist.Inst, pc netlist.PinConn) bool {
 	if pc.Dir != netlist.In {
 		return false
@@ -124,12 +124,7 @@ func reads(in *netlist.Inst, pc netlist.PinConn) bool {
 	if in.Cell == nil {
 		return in.Sub.Port(pc.Pin) != nil
 	}
-	for i := range in.Cell.Pins {
-		if in.Cell.Pins[i].Name == pc.Pin {
-			return true
-		}
-	}
-	return false
+	return in.Cell.Pin(pc.Pin) != nil
 }
 
 // checkPins flags unconnected instance pins: inputs as errors (the gate

@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"desync/internal/core"
 	"desync/internal/ctrlnet"
+	"desync/internal/designs"
+	"desync/internal/dft"
 	"desync/internal/equiv"
-	"desync/internal/expt"
 	"desync/internal/netlist"
 )
 
@@ -17,6 +19,25 @@ import (
 // fixtures (the same mutations internal/equiv pins golden counterexample
 // traces for) the static engine must catch the bug with no state search
 // at all.
+
+// converted builds a fresh copy of a generator spec and desynchronizes it
+// as the experiments do: the ARM as a scan design, pre-grouped generators
+// keeping their regions. The clock period only shapes the SDC, which
+// these tests do not read.
+func converted(t *testing.T, spec string) *netlist.Design {
+	t.Helper()
+	d, err := designs.ParseSpec(spec, nil)
+	if err == nil && spec == "arm" {
+		_, err = dft.InsertScan(d)
+	}
+	if err == nil {
+		_, err = core.Convert(context.Background(), d, core.Options{ManualGroups: designs.PreGrouped(spec)})
+	}
+	if err != nil {
+		t.Fatalf("%s flow: %v", spec, err)
+	}
+	return d
+}
 
 func analyzeStatic(t *testing.T, d *netlist.Design) *Report {
 	t.Helper()
@@ -42,12 +63,9 @@ func explore(t *testing.T, mod *netlist.Module) *equiv.Result {
 }
 
 func TestStaticMatchesBFSDLX(t *testing.T) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := analyzeStatic(t, f.Desync)
-	res := explore(t, f.Desync.Top)
+	d := converted(t, "dlx")
+	rep := analyzeStatic(t, d)
+	res := explore(t, d.Top)
 	if res.Truncated {
 		t.Fatal("BFS truncated; cross-check needs the full state space")
 	}
@@ -61,12 +79,9 @@ func TestStaticMatchesBFSDLX(t *testing.T) {
 }
 
 func TestStaticMatchesBFSARM(t *testing.T) {
-	f, err := expt.RunARMFlow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := analyzeStatic(t, f.Desync)
-	res := explore(t, f.Desync.Top)
+	d := converted(t, "arm")
+	rep := analyzeStatic(t, d)
+	res := explore(t, d.Top)
 	if res.Truncated {
 		t.Fatal("BFS truncated on the single-region ARM")
 	}
@@ -76,12 +91,9 @@ func TestStaticMatchesBFSARM(t *testing.T) {
 }
 
 func TestStaticMatchesBFSFIR(t *testing.T) {
-	f, err := expt.RunFIRFlow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := analyzeStatic(t, f.Desync)
-	res := explore(t, f.Desync.Top)
+	d := converted(t, "fir")
+	rep := analyzeStatic(t, d)
+	res := explore(t, d.Top)
 	if res.Truncated {
 		t.Fatal("BFS truncated on the FIR")
 	}
@@ -110,17 +122,14 @@ func TestStaticMatchesBFSFIR(t *testing.T) {
 // to the structural checks alone).
 
 func TestStaticCatchesDroppedAck(t *testing.T) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ai := f.Desync.Top.Inst("G2_Mctrl/ai")
+	d := converted(t, "dlx")
+	ai := d.Top.Inst("G2_Mctrl/ai")
 	if ai == nil {
 		t.Fatal("G2_Mctrl/ai not found")
 	}
-	f.Desync.Top.Disconnect(ai, "Z")
+	d.Top.Disconnect(ai, "Z")
 
-	rep := analyzeStatic(t, f.Desync)
+	rep := analyzeStatic(t, d)
 	if rep.Live {
 		t.Fatal("dropped acknowledge not caught: graph reported live")
 	}
@@ -130,18 +139,15 @@ func TestStaticCatchesDroppedAck(t *testing.T) {
 }
 
 func TestStaticCatchesSwappedPhases(t *testing.T) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mg, sg := f.Desync.Top.Inst("G1_Mctrl/g"), f.Desync.Top.Inst("G1_Sctrl/g")
+	d := converted(t, "dlx")
+	mg, sg := d.Top.Inst("G1_Mctrl/g"), d.Top.Inst("G1_Sctrl/g")
 	if mg == nil || sg == nil {
 		t.Fatal("G1 controller g cells not found")
 	}
-	mg.Cell = f.Desync.Lib.MustCell("CGSX1")
-	sg.Cell = f.Desync.Lib.MustCell("CGMX1")
+	mg.Cell = d.Lib.MustCell("CGSX1")
+	sg.Cell = d.Lib.MustCell("CGMX1")
 
-	rep := analyzeStatic(t, f.Desync)
+	rep := analyzeStatic(t, d)
 	if rep.Live {
 		t.Fatal("swapped reset phases not caught: the drained channel cycle went unnoticed")
 	}
@@ -154,11 +160,8 @@ func TestStaticCatchesSwappedPhases(t *testing.T) {
 }
 
 func TestStaticCatchesMissingCInput(t *testing.T) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c0 := f.Desync.Top.Inst("G4_reqC/c0")
+	d := converted(t, "dlx")
+	c0 := d.Top.Inst("G4_reqC/c0")
 	if c0 == nil {
 		t.Fatal("G4_reqC/c0 not found")
 	}
@@ -166,10 +169,10 @@ func TestStaticCatchesMissingCInput(t *testing.T) {
 	if dup == nil || c0.Conn("B") == nil {
 		t.Fatal("G4_reqC/c0 legs not wired as expected")
 	}
-	f.Desync.Top.Disconnect(c0, "B")
-	f.Desync.Top.MustConnect(c0, "B", dup)
+	d.Top.Disconnect(c0, "B")
+	d.Top.MustConnect(c0, "B", dup)
 
-	rep := analyzeStatic(t, f.Desync)
+	rep := analyzeStatic(t, d)
 	if rep.Safe {
 		t.Fatal("missing C-input not caught: wiring passed the data-dependency cross-check")
 	}

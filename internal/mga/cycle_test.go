@@ -15,7 +15,6 @@ import (
 	"desync/internal/ctrlnet"
 	"desync/internal/designs"
 	"desync/internal/equiv"
-	"desync/internal/expt"
 	"desync/internal/netlist"
 	"desync/internal/stdcells"
 	"desync/internal/verilog"
@@ -88,23 +87,8 @@ func TestCyclesMatchReferenceHandBuilt(t *testing.T) {
 }
 
 func TestCyclesMatchReferenceCaseStudies(t *testing.T) {
-	dlx, err := expt.RunDLXFlow(expt.FlowConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arm, err := expt.RunARMFlow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fir, err := expt.RunFIRFlow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	riscv, err := expt.RunGenFlow("riscv", expt.FlowConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, d := range map[string]*netlist.Design{"dlx": dlx.Desync, "arm": arm.Desync, "fir": fir.Desync, "riscv": riscv.Desync} {
+	for _, name := range []string{"dlx", "arm", "fir", "riscv"} {
+		d := converted(t, name)
 		if rep := diffModule(t, name, d.Top, ctrlnet.Derive(d.Top)); rep.PeriodNs <= 0 {
 			t.Fatalf("%s: no period bound", name)
 		}

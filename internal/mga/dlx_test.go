@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"desync/internal/ctrlnet"
-	"desync/internal/expt"
 )
 
 // TestDLXStaticVerdicts pins the full analysis on the DLX case study. The
@@ -14,12 +13,9 @@ import (
 // 6.50855 ns, and the static bound must cover it without exceeding it by
 // more than 10% (the acceptance window of the static engine).
 func TestDLXStaticVerdicts(t *testing.T) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cn := ctrlnet.Derive(f.Desync.Top)
-	rep, err := Analyze(f.Desync.Top, cn, Options{})
+	d := converted(t, "dlx")
+	cn := ctrlnet.Derive(d.Top)
+	rep, err := Analyze(d.Top, cn, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +57,7 @@ func TestDLXStaticVerdicts(t *testing.T) {
 
 	// Determinism: a second analysis of the same netlist renders the same
 	// bytes, text and JSON.
-	rep2, err := Analyze(f.Desync.Top, cn, Options{})
+	rep2, err := Analyze(d.Top, cn, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +81,13 @@ func TestDLXStaticVerdicts(t *testing.T) {
 // TestBestCornerScales checks the corner plumbing: the best corner prices
 // every arc at 1/CornerSpread of the worst, so the period scales down.
 func TestBestCornerScales(t *testing.T) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
+	d := converted(t, "dlx")
+	cn := ctrlnet.Derive(d.Top)
+	worst, err := Analyze(d.Top, cn, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cn := ctrlnet.Derive(f.Desync.Top)
-	worst, err := Analyze(f.Desync.Top, cn, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, err := Analyze(f.Desync.Top, cn, Options{BestCorner: true})
+	best, err := Analyze(d.Top, cn, Options{BestCorner: true})
 	if err != nil {
 		t.Fatal(err)
 	}

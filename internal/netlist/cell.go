@@ -183,20 +183,15 @@ type CellDef struct {
 	Arcs  []TimingArc
 	Setup Delay // setup requirement of sequential cells (data before clock/enable closing edge)
 	Hold  Delay // hold requirement
-
-	pinIdx map[string]int
 }
 
-// Pin returns the definition of the named pin, or nil.
+// Pin returns the definition of the named pin, or nil. A cell has a few
+// pins, so scanning them costs less than hashing the name.
 func (c *CellDef) Pin(name string) *PinDef {
-	if c.pinIdx == nil {
-		c.pinIdx = make(map[string]int, len(c.Pins))
-		for i := range c.Pins {
-			c.pinIdx[c.Pins[i].Name] = i
+	for i := range c.Pins {
+		if c.Pins[i].Name == name {
+			return &c.Pins[i]
 		}
-	}
-	if i, ok := c.pinIdx[name]; ok {
-		return &c.Pins[i]
 	}
 	return nil
 }

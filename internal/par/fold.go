@@ -16,10 +16,11 @@ import (
 // its checkpoint journal) still see the exact serial order — byte-identical
 // output at any worker count.
 //
-// The reorder buffer is naturally bounded: results travel through a channel
-// of capacity workers, so a worker that has raced far ahead of the fold
-// blocks sending and the caller holds at most ~2*workers undelivered
-// results at any moment.
+// The reorder buffer is bounded: a worker takes a token before it claims an
+// index, and the fold returns the token once it has folded that index, so
+// at most 2*workers indices are claimed but not folded. However slow one
+// index is, the caller holds at most 2*workers undelivered results; the
+// workers that race ahead of it block instead.
 //
 // fold may return an error to stop the sweep early (a graceful cutoff such
 // as "too many failures"); that error is returned as-is, no further fold
@@ -68,7 +69,9 @@ func Fold[R any](ctx context.Context, start, n int, compute func(ctx context.Con
 		r   R
 		err error
 	}
-	ch := make(chan slot, workers)
+	// Every slot in flight holds a token, so a send on ch never blocks.
+	tokens := make(chan struct{}, 2*workers)
+	ch := make(chan slot, 2*workers)
 	var next atomic.Int64
 	next.Store(int64(start))
 	var wg sync.WaitGroup
@@ -77,19 +80,17 @@ func Fold[R any](ctx context.Context, start, n int, compute func(ctx context.Con
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if cctx.Err() != nil {
-					return
-				}
-				r, err := compute(cctx, i)
 				select {
-				case ch <- slot{i: i, r: r, err: err}:
+				case tokens <- struct{}{}:
 				case <-cctx.Done():
 					return
 				}
+				i := int(next.Add(1)) - 1
+				if i >= n || cctx.Err() != nil {
+					return
+				}
+				r, err := compute(cctx, i)
+				ch <- slot{i: i, r: r, err: err}
 			}
 		}()
 	}
@@ -123,6 +124,7 @@ func Fold[R any](ctx context.Context, start, n int, compute func(ctx context.Con
 				cancel()
 				break
 			}
+			<-tokens
 			want++
 		}
 	}

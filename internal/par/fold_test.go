@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestFoldOrdered: the fold must see every index exactly once, strictly
@@ -147,9 +148,10 @@ func TestFoldStopsAtCancel(t *testing.T) {
 		err := Fold(ctx, 0, n,
 			func(_ context.Context, i int) (int, error) {
 				// Index 0 finishes last, so the fold of index 0 finds
-				// every other result waiting.
-				for i == 0 && workers > 1 && computed.Load() < n-1 {
-					runtime.Gosched()
+				// every other result Fold lets the workers compute
+				// waiting.
+				if i == 0 && workers > 1 {
+					finishLast(&computed, n)
 				}
 				computed.Add(1)
 				return i, nil
@@ -168,6 +170,46 @@ func TestFoldStopsAtCancel(t *testing.T) {
 		if calls != 1 {
 			t.Fatalf("workers=%d: %d fold calls after cancelling at the first, want 1", workers, calls)
 		}
+	}
+}
+
+// finishLast holds index 0's compute until every other index is computed
+// or, once Fold's bound has stopped the other workers, 100 ms have passed.
+func finishLast(computed *atomic.Int64, n int) {
+	for deadline := time.Now().Add(100 * time.Millisecond); computed.Load() < int64(n-1) && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+}
+
+// TestFoldBoundsPending: when index 0 finishes last, the results computed
+// but not yet folded stay within the documented 2*workers, instead of the
+// whole sweep piling up behind the slow index.
+func TestFoldBoundsPending(t *testing.T) {
+	const n, workers = 64, 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	var computed, folded, high atomic.Int64
+	err := Fold(context.Background(), 0, n,
+		func(_ context.Context, i int) (int, error) {
+			if i == 0 {
+				finishLast(&computed, n)
+			}
+			waiting := computed.Add(1) - folded.Load()
+			for h := high.Load(); waiting > h && !high.CompareAndSwap(h, waiting); h = high.Load() {
+			}
+			return i, nil
+		},
+		func(i, r int) error {
+			folded.Add(1)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if folded.Load() != n {
+		t.Fatalf("folded %d of %d results", folded.Load(), n)
+	}
+	if h := high.Load(); h > 2*workers {
+		t.Fatalf("%d results computed but not folded at once, want at most 2*workers = %d", h, 2*workers)
 	}
 }
 

@@ -83,25 +83,25 @@ func TestResultRegionDelaysMatchesPackage(t *testing.T) {
 		run  func() (*netlist.Design, *core.Result, error)
 	}{
 		{"dlx", func() (*netlist.Design, *core.Result, error) {
-			f, err := expt.RunDLXFlow(expt.FlowConfig{})
+			f, err := expt.RunFlow("dlx", expt.FlowConfig{})
 			if err != nil {
 				return nil, nil, err
 			}
-			return f.Desync, f.Result, nil
+			return f.Design, f.Result, nil
 		}},
 		{"fir", func() (*netlist.Design, *core.Result, error) {
-			f, err := expt.RunFIRFlow()
+			f, err := expt.RunFlow("fir", expt.FlowConfig{})
 			if err != nil {
 				return nil, nil, err
 			}
-			return f.Desync, f.Result, nil
+			return f.Design, f.Result, nil
 		}},
 		{"pipeline", func() (*netlist.Design, *core.Result, error) {
-			f, err := expt.RunGenFlow("pipeline:depth=4,width=8,regions=6", expt.FlowConfig{})
+			f, err := expt.RunFlow("pipeline:depth=4,width=8,regions=6", expt.FlowConfig{})
 			if err != nil {
 				return nil, nil, err
 			}
-			return f.Desync, f.Result, nil
+			return f.Design, f.Result, nil
 		}},
 	}
 	ctx := context.Background()

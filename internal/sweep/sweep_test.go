@@ -24,7 +24,7 @@ import (
 // design and one campaign (sweep scenarios never mutate either).
 var (
 	once     sync.Once
-	flow     *expt.DLXFlow
+	flow     *expt.Flow
 	campaign *faults.Campaign
 	buildErr error
 )
@@ -32,11 +32,11 @@ var (
 func dlxCampaign(t *testing.T) *faults.Campaign {
 	t.Helper()
 	once.Do(func() {
-		flow, buildErr = expt.RunDLXFlow(expt.FlowConfig{})
+		flow, buildErr = expt.RunFlow("dlx", expt.FlowConfig{})
 		if buildErr != nil {
 			return
 		}
-		campaign, buildErr = expt.NewDLXCampaign(context.Background(), flow, 6)
+		campaign, buildErr = expt.NewCampaign(context.Background(), flow, 6)
 	})
 	if buildErr != nil {
 		t.Fatalf("building DLX campaign: %v", buildErr)
@@ -188,7 +188,7 @@ func panickingCampaign(t *testing.T) *faults.Campaign {
 		if calls.Add(1) > 1 {
 			panic("injected scenario panic")
 		}
-		if flow.Desync.Top.Port("delsel[0]") != nil {
+		if flow.Design.Top.Port("delsel[0]") != nil {
 			for i := 0; i < 3; i++ {
 				if err := s.Drive(fmt.Sprintf("delsel[%d]", i), logic.L, 0); err != nil {
 					return err
@@ -200,7 +200,7 @@ func panickingCampaign(t *testing.T) *faults.Campaign {
 		s.Drive("rstn", logic.H, 1)
 		return s.Drive("rst_desync", logic.L, 2)
 	}
-	pc, err := faults.NewCampaign(context.Background(), flow.Desync.Top, faults.Config{
+	pc, err := faults.NewCampaign(context.Background(), flow.Design.Top, faults.Config{
 		Stimulus:      stim,
 		Horizon:       2 + flow.Period*6*6,
 		QuiescenceGap: 8 * flow.Period,

@@ -67,6 +67,21 @@ func (r *runner) gates(ctx context.Context) error {
 		return nil
 	}
 
+	if r.opts.Flow.Mode == core.ModeCompletion {
+		// The marking model covers matched-delay controllers; a completion
+		// network's request timing lives in the dual-rail datapath, outside
+		// it (DESIGN §10). The fault campaign simulates, so it still runs.
+		why := "matched-delay controllers only; " + d.Top.Name + " uses dual-rail completion detection"
+		r.decide(Verdict{Step: GateStatic, Status: Skipped, Reason: "marked-graph gates model " + why})
+		if r.opts.Equiv {
+			r.decide(Verdict{Step: GateEquiv, Status: Skipped, Reason: "models " + why})
+		}
+		if r.opts.Faults {
+			return r.faultsGate(ctx)
+		}
+		return nil
+	}
+
 	model, err := r.staticGate()
 	if err != nil {
 		return err

@@ -6,7 +6,8 @@
 // region; a delay element under its budget → margin ×1.15, up to three
 // retries); the post-export lint gate; and, for the desync backend only,
 // the static marked-graph gate, the optional equiv gate (downgraded past
-// mga.StateEstimate) and the optional fault campaign.
+// mga.StateEstimate; both skipped under completion detection, which the
+// marking model does not cover) and the optional fault campaign.
 //
 // Run returns an Outcome even when a gate fails: the design, the flow
 // result and every report produced so far, as values, plus one Verdict per

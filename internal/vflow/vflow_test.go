@@ -14,7 +14,6 @@ import (
 	"desync/internal/ctrlnet"
 	"desync/internal/designs"
 	"desync/internal/equiv"
-	"desync/internal/expt"
 	"desync/internal/lint"
 	"desync/internal/netlist"
 	"desync/internal/stdcells"
@@ -214,6 +213,25 @@ func TestTwoPhaseSkipsHandshakeGates(t *testing.T) {
 	}
 }
 
+// TestCompletionSkipsMarkedGraphGates: the marking model covers
+// matched-delay controllers only, so a completion-detection conversion
+// skips the static and equiv gates and says why, instead of failing.
+func TestCompletionSkipsMarkedGraphGates(t *testing.T) {
+	out, stream, err := runRecorded(t, fromSpec("dlx"), Options{
+		Flow: core.Options{Mode: core.ModeCompletion, Period: 4.65}, Equiv: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStream(t, stream, "pre-import/ran", "lint/ran", "static/skipped", "equiv/skipped")
+	if v := out.Verdict(GateStatic); !strings.Contains(v.Reason, "completion detection") {
+		t.Errorf("static verdict %+v does not name completion detection", v)
+	}
+	if out.Static != nil || out.Equiv != nil {
+		t.Fatal("a skipped gate left a report")
+	}
+}
+
 // TestFaultsPeriodFromBudgets: without a period the campaign is clocked
 // from the worst region budget instead of failing.
 func TestFaultsPeriodFromBudgets(t *testing.T) {
@@ -253,22 +271,22 @@ endmodule
 // cut acknowledge and checks the failure carries the equiv flow stage and
 // names the violated property.
 func TestEquivGateFailsBrokenNetwork(t *testing.T) {
-	f, err := expt.RunDLXFlow(expt.FlowConfig{})
+	out, err := Run(context.Background(), fromSpec("dlx"), Options{Flow: core.Options{Period: 4.65}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ai := f.Desync.Top.Inst("G2_Mctrl/ai")
+	ai := out.Design.Top.Inst("G2_Mctrl/ai")
 	if ai == nil {
 		t.Fatal("G2_Mctrl/ai not found")
 	}
-	f.Desync.Top.Disconnect(ai, "Z")
+	out.Design.Top.Disconnect(ai, "Z")
 
-	m, err := equiv.FromNetwork(f.Desync.Top, ctrlnet.Derive(f.Desync.Top))
+	m, err := equiv.FromNetwork(out.Design.Top, ctrlnet.Derive(out.Design.Top))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &runner{opts: Options{OnVerdict: func(Verdict) {}}, Outcome: &Outcome{}}
-	err = r.equivGate(context.Background(), f.Desync, m)
+	err = r.equivGate(context.Background(), out.Design, m)
 	if err == nil {
 		t.Fatal("equiv gate passed a deadlocking network")
 	}
