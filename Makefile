@@ -32,7 +32,9 @@ vet:
 # studies (drequiv -static), and two DLX conversions exercise the
 # alternate backend and the completion-detection mode end to end through
 # the tool's own gates (the completion run skips the static gate, which
-# its marking model cannot price, and says so on stderr).
+# its marking model cannot price, and says so on stderr). A FIR fault
+# campaign keeps the simulation driver's environment handshake covered
+# end to end.
 lint:
 	$(GO) run ./cmd/repolint
 	$(GO) run ./cmd/drlint -gen dlx
@@ -45,6 +47,9 @@ lint:
 	$(GO) run ./cmd/drdesync -gen dlx -cdet -period 4.65 \
 		-out /tmp/drdesync-cdet-smoke.v -sdc /tmp/drdesync-cdet-smoke.sdc
 	rm -f /tmp/drdesync-cdet-smoke.v /tmp/drdesync-cdet-smoke.sdc
+	$(GO) run ./cmd/drdesync -gen fir -period 6.0 -faults \
+		-out /tmp/drdesync-fir-faults-smoke.v -sdc /tmp/drdesync-fir-faults-smoke.sdc
+	rm -f /tmp/drdesync-fir-faults-smoke.v /tmp/drdesync-fir-faults-smoke.sdc
 
 # Formal verification: model-check deadlock-freedom, phase safety and flow
 # equivalence of both case studies' control networks, cross-validated
@@ -57,8 +62,10 @@ check: vet lint equiv sweep serve scale
 	# Targeted race pass first: the parallel engine, the fault fan-out, the
 	# sweep's ordered fold and journal, the ctrlnet derivation cache and the
 	# equiv model built on it are the shared-state hot spots; fail fast on
-	# them before the full-suite race run below.
-	$(GO) test -race ./internal/par/ ./internal/faults/ ./internal/sweep/ ./internal/ctrlnet/ ./internal/equiv/
+	# them before the full-suite race run below. The engine's error
+	# selection depends on scheduling, so it runs ten times.
+	$(GO) test -race -count=10 ./internal/par/
+	$(GO) test -race ./internal/faults/ ./internal/sweep/ ./internal/ctrlnet/ ./internal/equiv/
 	$(GO) test -race -run 'Parallel|Cancellation' ./internal/sta/ ./internal/core/
 	$(GO) test -race ./...
 	# perfbench is its own Go module, so the root vet and test never

@@ -64,6 +64,7 @@ func (desyncBackend) Generate(ctx context.Context, f *Flow) error {
 	}
 	f.Res.Insert = ins
 	f.Res.Constraints = ins.Constraints
+	f.Res.Reset = ctrlnet.DesyncReset
 	return nil
 }
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"desync/internal/designs"
-	"desync/internal/logic"
+	"desync/internal/faults"
 	"desync/internal/netlist"
 	"desync/internal/sim"
 )
@@ -59,47 +59,18 @@ func TestCompletionDetectionFlowEquivalence(t *testing.T) {
 
 	// Behaviour: full flow equivalence against the synchronous run.
 	period := 5.0
-	ss, err := sim.New(dsync.Top, sim.Config{Corner: netlist.Worst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss.Drive("rstn", logic.L, 0)
-	ss.Drive("rstn", logic.H, period*0.4)
-	ss.Clock("clk", period, 0, period*30)
-	if err := ss.RunUntilQuiescent(); err != nil {
-		t.Fatal(err)
+	if v := flowEquivalent(t, dsync, ddes, res, period, 30, nil, 0); v.Registers < 500 {
+		t.Fatalf("compared only %d registers", v.Registers)
 	}
 	ds, err := sim.New(ddes.Top, sim.Config{Corner: netlist.Worst})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.Drive("rstn", logic.L, 0)
-	ds.Drive("rst_desync", logic.H, 0)
-	ds.Drive("rstn", logic.H, 1)
-	ds.Drive("rst_desync", logic.L, 2)
-	if err := ds.Run(period * 60); err != nil {
+	if err := faults.NewDriver(ddes.Top, res.Reset, 0, nil).Start(ds); err != nil {
 		t.Fatal(err)
 	}
-	compared := 0
-	for name, want := range ss.Captures {
-		got := ds.Captures[name+"/sl"]
-		if len(got) < 8 {
-			t.Fatalf("%s: only %d captures (deadlock?)", name, len(got))
-		}
-		n := len(want)
-		if len(got) < n {
-			n = len(got)
-		}
-		for k := 0; k < n; k++ {
-			if got[k] != want[k] {
-				t.Fatalf("%s capture %d: %v vs %v — completion detection broke flow equivalence",
-					name, k, got[k], want[k])
-			}
-		}
-		compared++
-	}
-	if compared < 500 {
-		t.Fatalf("compared only %d registers", compared)
+	if err := ds.Run(period * 60); err != nil {
+		t.Fatal(err)
 	}
 
 	// Average-case behaviour: cycle intervals vary with the data (unlike

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"desync/internal/designs"
-	"desync/internal/logic"
+	"desync/internal/faults"
 	"desync/internal/netlist"
 	"desync/internal/sim"
 	"desync/internal/sta"
@@ -88,10 +88,7 @@ func desyncDLX(t *testing.T, muxTaps bool) (*netlist.Design, *Result, float64) {
 // The headline experiment: the desynchronized DLX runs the same program as
 // the synchronous one and every register sees the same data sequence.
 func TestDLXFlowEquivalence(t *testing.T) {
-	lib := hs()
-	prog := designs.TestProgram()
-
-	dsync, err := designs.BuildDLX(lib, prog)
+	dsync, err := designs.BuildDLX(hs(), designs.TestProgram())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,54 +96,29 @@ func TestDLXFlowEquivalence(t *testing.T) {
 	if res.Grouping.Groups != 4 {
 		t.Fatalf("groups = %d, want 4", res.Grouping.Groups)
 	}
+	v := flowEquivalent(t, dsync, ddes, res, period, 40, nil, 0)
+	if v.Registers < 500 {
+		t.Fatalf("compared only %d registers", v.Registers)
+	}
+	t.Logf("flow equivalence verified over %d registers, %d captures", v.Registers, v.Captures)
+}
 
-	cycles := 40.0
-	ss, err := sim.New(dsync.Top, sim.Config{Corner: netlist.Worst})
+// flowEquivalent runs the flow-equivalence oracle at the worst corner and
+// fails the test on its counterexample, or unless the alignment rule set
+// aside exactly dropped slave captures (none, unless the test knows why).
+func flowEquivalent(t *testing.T, ref, conv *netlist.Design, res *Result, period float64, cycles int, stream []uint64, dropped int) *faults.Verdict {
+	t.Helper()
+	v, err := faults.Oracle(ref.Top, conv.Top, res.Reset, netlist.Worst, period, cycles, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss.Drive("rstn", logic.L, 0)
-	ss.Drive("rstn", logic.H, period*0.4)
-	ss.Clock("clk", period, 0, period*cycles)
-	if err := ss.RunUntilQuiescent(); err != nil {
-		t.Fatal(err)
+	if v.Counterexample != nil {
+		t.Fatalf("flow equivalence broken: %v", v.Counterexample)
 	}
-
-	ds, err := sim.New(ddes.Top, sim.Config{Corner: netlist.Worst})
-	if err != nil {
-		t.Fatal(err)
+	if v.Dropped != dropped {
+		t.Fatalf("alignment set aside %d slave captures, want %d", v.Dropped, dropped)
 	}
-	ds.Drive("rstn", logic.L, 0)
-	ds.Drive("rst_desync", logic.H, 0)
-	ds.Drive("rstn", logic.H, 1)
-	ds.Drive("rst_desync", logic.L, 2)
-	if err := ds.Run(period * cycles * 2); err != nil {
-		t.Fatal(err)
-	}
-
-	compared, total := 0, 0
-	for name, want := range ss.Captures {
-		got := ds.Captures[name+"/sl"]
-		if len(got) < 10 {
-			t.Fatalf("%s: only %d desync captures (deadlock?)", name, len(got))
-		}
-		n := len(want)
-		if len(got) < n {
-			n = len(got)
-		}
-		for k := 0; k < n; k++ {
-			if got[k] != want[k] {
-				t.Fatalf("%s capture %d: desync %v vs sync %v — flow equivalence broken",
-					name, k, got[k], want[k])
-			}
-		}
-		total += n
-		compared++
-	}
-	if compared < 500 {
-		t.Fatalf("compared only %d registers", compared)
-	}
-	t.Logf("flow equivalence verified over %d registers, %d captures", compared, total)
+	return v
 }
 
 // §4.6: the controller network must be timeable by STA once the generated
@@ -185,15 +157,14 @@ func TestControllerLoopBreaking(t *testing.T) {
 // The desynchronized DLX still computes: compare architectural state
 // against the golden model by reading the slave latches.
 func TestDesynchronizedDLXComputes(t *testing.T) {
-	ddes, _, period := desyncDLX(t, false)
+	ddes, res, period := desyncDLX(t, false)
 	ds, err := sim.New(ddes.Top, sim.Config{Corner: netlist.Worst})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.Drive("rstn", logic.L, 0)
-	ds.Drive("rst_desync", logic.H, 0)
-	ds.Drive("rstn", logic.H, 1)
-	ds.Drive("rst_desync", logic.L, 2)
+	if err := faults.NewDriver(ddes.Top, res.Reset, 0, nil).Start(ds); err != nil {
+		t.Fatal(err)
+	}
 	if err := ds.Run(period * 80); err != nil {
 		t.Fatal(err)
 	}

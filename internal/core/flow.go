@@ -34,6 +34,8 @@ type Result struct {
 	Substitution *SubstituteResult
 	RegionDelays map[int]*sta.RegionDelay
 	Constraints  *sdc.Constraints
+	// Reset is the converted design's reset contract.
+	Reset ctrlnet.Reset
 
 	// DDG, DelayLevels, Insert, UnderMargin and Network are desync-backend
 	// results; they stay nil/empty under other backends.

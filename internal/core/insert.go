@@ -80,7 +80,6 @@ type InsertResult struct {
 	DelayCells      int
 	CompletionCells int
 	Constraints     *sdc.Constraints
-	RstPort         string
 	// EnvRequests lists input ports created for regions without
 	// predecessors; EnvAcks lists input ports for regions without
 	// successors (the testbench handshakes these, §4.8).
@@ -114,12 +113,10 @@ func InsertControlNetwork(d *netlist.Design, ddg *DDG, enables map[int]EnableNet
 	res.Claim = claim
 
 	// Reset port for the controllers.
-	const rstName = "rst_desync"
-	if m.Port(rstName) != nil {
-		return nil, fmt.Errorf("core: port %s already exists", rstName)
+	if m.Port(ctrlnet.DesyncReset.Port) != nil {
+		return nil, fmt.Errorf("core: port %s already exists", ctrlnet.DesyncReset.Port)
 	}
-	rst := m.AddPort(rstName, netlist.In).Net
-	res.RstPort = rstName
+	rst := m.AddPort(ctrlnet.DesyncReset.Port, netlist.In).Net
 
 	// Tap-select ports when calibration muxes are requested.
 	var sel []*netlist.Net

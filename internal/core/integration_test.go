@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"desync/internal/designs"
-	"desync/internal/logic"
 	"desync/internal/netlist"
-	"desync/internal/sim"
 	"desync/internal/verilog"
 )
 
@@ -35,16 +33,6 @@ func TestVerilogRoundTripFlowEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	period := 5.0
-	ss, err := sim.New(dsync.Top, sim.Config{Corner: netlist.Worst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss.Drive("rstn", logic.L, 0)
-	ss.Drive("rstn", logic.H, period*0.4)
-	ss.Clock("clk", period, 0, period*25)
-	if err := ss.RunUntilQuiescent(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Desynchronize a second import, export, re-import, simulate.
 	dwork, err := verilog.Read(text, lib, "")
@@ -66,37 +54,8 @@ func TestVerilogRoundTripFlowEquivalence(t *testing.T) {
 	if errs := dfinal.Top.Check(); len(errs) > 0 {
 		t.Fatalf("re-imported netlist broken: %v", errs[0])
 	}
-	ds, err := sim.New(dfinal.Top, sim.Config{Corner: netlist.Worst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds.Drive("rstn", logic.L, 0)
-	ds.Drive("rst_desync", logic.H, 0)
-	ds.Drive("rstn", logic.H, 1)
-	ds.Drive("rst_desync", logic.L, 2)
-	if err := ds.Run(period * 50); err != nil {
-		t.Fatal(err)
-	}
-
-	compared := 0
-	for name, want := range ss.Captures {
-		got := ds.Captures[name+"/sl"]
-		if len(got) < 8 {
-			t.Fatalf("%s: only %d captures after file round trip", name, len(got))
-		}
-		n := len(want)
-		if len(got) < n {
-			n = len(got)
-		}
-		for k := 0; k < n; k++ {
-			if got[k] != want[k] {
-				t.Fatalf("%s capture %d differs after file round trip", name, k)
-			}
-		}
-		compared++
-	}
-	if compared < 500 {
-		t.Fatalf("compared only %d registers", compared)
+	if v := flowEquivalent(t, dsync, dfinal, res, period, 25, nil, 0); v.Registers < 500 {
+		t.Fatalf("compared only %d registers", v.Registers)
 	}
 }
 
@@ -105,34 +64,34 @@ func TestVerilogRoundTripFlowEquivalence(t *testing.T) {
 func TestManualGroupsFromHierarchy(t *testing.T) {
 	lib := hs()
 	src := `
-module stage_a (ck, rn, in, out);
-  input ck, rn;
+module stage_a (ck, rstn, in, out);
+  input ck, rstn;
   input [1:0] in;
   output [1:0] out;
   wire [1:0] d;
   INVX1 g0 (.A(in[0]), .Z(d[0]));
   INVX1 g1 (.A(in[1]), .Z(d[1]));
-  DFFRQX1 r0 (.D(d[0]), .CK(ck), .RN(rn), .Q(out[0]));
-  DFFRQX1 r1 (.D(d[1]), .CK(ck), .RN(rn), .Q(out[1]));
+  DFFRQX1 r0 (.D(d[0]), .CK(ck), .RN(rstn), .Q(out[0]));
+  DFFRQX1 r1 (.D(d[1]), .CK(ck), .RN(rstn), .Q(out[1]));
 endmodule
 
-module stage_b (ck, rn, in, out);
-  input ck, rn;
+module stage_b (ck, rstn, in, out);
+  input ck, rstn;
   input [1:0] in;
   output [1:0] out;
   wire [1:0] d;
   XOR2X1 g0 (.A(in[0]), .B(in[1]), .Z(d[0]));
   XOR2X1 g1 (.A(in[1]), .B(in[0]), .Z(d[1]));
-  DFFRQX1 r0 (.D(d[0]), .CK(ck), .RN(rn), .Q(out[0]));
-  DFFRQX1 r1 (.D(d[1]), .CK(ck), .RN(rn), .Q(out[1]));
+  DFFRQX1 r0 (.D(d[0]), .CK(ck), .RN(rstn), .Q(out[0]));
+  DFFRQX1 r1 (.D(d[1]), .CK(ck), .RN(rstn), .Q(out[1]));
 endmodule
 
-module top (ck, rn, q);
-  input ck, rn;
+module top (ck, rstn, q);
+  input ck, rstn;
   output [1:0] q;
   wire [1:0] x;
-  stage_a sa (.ck(ck), .rn(rn), .in(q), .out(x));
-  stage_b sb (.ck(ck), .rn(rn), .in(x), .out(q));
+  stage_a sa (.ck(ck), .rstn(rstn), .in(q), .out(x));
+  stage_b sb (.ck(ck), .rstn(rstn), .in(x), .out(q));
 endmodule
 `
 	d, err := verilog.Read(src, lib, "top")
@@ -152,21 +111,16 @@ endmodule
 			t.Fatalf("region %d succs = %v", g, res.DDG.Succs[g])
 		}
 	}
-	// And it runs.
-	s, err := sim.New(d.Top, sim.Config{Corner: netlist.Worst})
+	// And it runs, flow-equivalent to the flattened synchronous netlist.
+	ref, err := verilog.Read(src, lib, "top")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Drive("rn", logic.L, 0)
-	s.Drive("rst_desync", logic.H, 0)
-	s.Drive("rn", logic.H, 1)
-	s.Drive("rst_desync", logic.L, 2)
-	if err := s.Run(100); err != nil {
+	if err := ref.Flatten(false); err != nil {
 		t.Fatal(err)
 	}
-	caps := s.Captures["sa/r0/sl"]
-	if len(caps) < 5 {
-		t.Fatalf("manual-grouped ring not live: %d captures (%v)", len(caps), caps)
+	if v := flowEquivalent(t, ref, d, res, 2, 16, nil, 0); v.Registers != 4 {
+		t.Fatalf("compared %d registers, want 4", v.Registers)
 	}
 }
 

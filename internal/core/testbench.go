@@ -53,22 +53,17 @@ func WriteTestbench(d *netlist.Design, res *Result, clockPort string, period flo
 	}
 	fmt.Fprintf(&sb, "  initial begin\n")
 	for _, p := range ins {
-		if p.Name == clockPort {
-			continue
-		}
-		switch {
-		case desync && p.Name == res.Insert.RstPort:
-			fmt.Fprintf(&sb, "    %s = 1;\n", tbName(p.Name))
-		case strings.Contains(strings.ToLower(p.Name), "rstn") || strings.Contains(strings.ToLower(p.Name), "rn"):
-			fmt.Fprintf(&sb, "    %s = 0;\n", tbName(p.Name))
-		default:
-			fmt.Fprintf(&sb, "    %s = 0;\n", tbName(p.Name))
+		if v := 0; p.Name != clockPort {
+			if desync && p.Name == res.Reset.Port {
+				v = 1 // every other input starts low
+			}
+			fmt.Fprintf(&sb, "    %s = %d;\n", tbName(p.Name), v)
 		}
 	}
 	fmt.Fprintf(&sb, "    #%.4f;\n", period)
 	for _, p := range ins {
 		switch {
-		case desync && p.Name == res.Insert.RstPort:
+		case desync && p.Name == res.Reset.Port:
 			fmt.Fprintf(&sb, "    %s = 0; // release the controller network\n", tbName(p.Name))
 		case strings.Contains(strings.ToLower(p.Name), "rstn"):
 			fmt.Fprintf(&sb, "    %s = 1;\n", tbName(p.Name))

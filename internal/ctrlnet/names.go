@@ -79,6 +79,17 @@ func CTreePrefix(g int, req bool) string {
 // CdetPrefix returns region g's dual-rail completion-network prefix.
 func CdetPrefix(g int) string { return Name(g, "cdet") }
 
+// Reset is a converted design's reset contract, recorded by each backend's
+// Generate: Port holds the generated network in reset while high (active
+// high under every backend) for at least Width ns from time zero.
+type Reset struct {
+	Port  string
+	Width float64
+}
+
+// DesyncReset is the desync backend's contract, held past the 1 ns datapath reset.
+var DesyncReset = Reset{Port: "rst_desync", Width: 2}
+
 // Environment handshake port names for boundary regions (§4.8): a region
 // with no predecessors receives requests on env_ri and publishes its
 // acknowledge on env_ai; a region with no successors receives acknowledges

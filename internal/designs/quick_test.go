@@ -10,6 +10,16 @@ import (
 	"desync/internal/sim"
 )
 
+// driveBus drives the bit-blasted input bus base[0..width) with value.
+func driveBus(s *sim.Simulator, base string, width int, value uint64, at float64) error {
+	for i := 0; i < width; i++ {
+		if err := s.Drive(netlist.BusBit(base, i), logic.FromBool(value>>uint(i)&1 == 1), at); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // evalBlock builds a circuit from the builder callback, drives the named
 // input buses, settles, and returns the output bus value.
 func evalBlock(t *testing.T, width int, nIn int, construct func(b *Builder, ins []Bus) Bus, vals []uint64) uint64 {
@@ -32,7 +42,7 @@ func evalBlock(t *testing.T, width int, nIn int, construct func(b *Builder, ins 
 		t.Fatal(err)
 	}
 	for i := range ins {
-		if err := s.DriveVector(fmt.Sprintf("x%d", i), width, vals[i], 0); err != nil {
+		if err := driveBus(s, fmt.Sprintf("x%d", i), width, vals[i], 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +151,7 @@ func TestQuickRom(t *testing.T) {
 			t.Fatal(err)
 		}
 		for a := 0; a < 16; a++ {
-			if err := s.DriveVector("a", 4, uint64(a), s.Now()+1); err != nil {
+			if err := driveBus(s, "a", 4, uint64(a), s.Now()+1); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.RunUntilQuiescent(); err != nil {
@@ -180,9 +190,9 @@ func TestQuickMuxTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 4; i++ {
-			sm.DriveVector(fmt.Sprintf("x%d", i), 16, vals[i], 0)
+			driveBus(sm, fmt.Sprintf("x%d", i), 16, vals[i], 0)
 		}
-		sm.DriveVector("s", 2, s, 0)
+		driveBus(sm, "s", 2, s, 0)
 		sm.RunUntilQuiescent()
 		return sm.Vector("y", 16).Uint() == vals[s]
 	}

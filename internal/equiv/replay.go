@@ -3,6 +3,7 @@ package equiv
 import (
 	"fmt"
 
+	"desync/internal/ctrlnet"
 	"desync/internal/faults"
 	"desync/internal/logic"
 	"desync/internal/netlist"
@@ -49,10 +50,7 @@ func Replay(mod *netlist.Module, m *Model, tr *Trace) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := faults.ResetStimulus(mod, 0)(s); err != nil {
-		return nil, err
-	}
-	if err := m.driveEnvironment(s); err != nil {
+	if err := faults.NewDriver(mod, ctrlnet.DesyncReset, 0, nil).Start(s); err != nil {
 		return nil, err
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"desync/internal/ctrlnet"
 	"desync/internal/faults"
 	"desync/internal/handshake"
 	"desync/internal/logic"
@@ -80,6 +81,7 @@ func (m *Model) CrossValidate(ctx context.Context, mod *netlist.Module, cfg XVal
 		div    *Divergence
 		err    error
 	}
+	drv := faults.NewDriver(mod, ctrlnet.DesyncReset, 0, nil)
 	tasks := make([]int, cfg.Traces)
 	for k := range tasks {
 		tasks[k] = k
@@ -91,7 +93,7 @@ func (m *Model) CrossValidate(ctx context.Context, mod *netlist.Module, cfg XVal
 		if err := ctx.Err(); err != nil {
 			return traceResult{}, err
 		}
-		obs, err := m.simTrace(mod, cfg.Seed+int64(k))
+		obs, err := m.simTrace(mod, drv, cfg.Seed+int64(k))
 		if err != nil {
 			return traceResult{err: err}, nil
 		}
@@ -117,9 +119,9 @@ func (m *Model) CrossValidate(ctx context.Context, mod *netlist.Module, cfg XVal
 	return res, nil
 }
 
-// simTrace runs one randomized simulation and returns the observed visible
-// transitions after reset release.
-func (m *Model) simTrace(mod *netlist.Module, seed int64) ([]obsEvent, error) {
+// simTrace runs one randomized simulation through the driver and returns
+// the observed visible transitions after reset release.
+func (m *Model) simTrace(mod *netlist.Module, drv *faults.Driver, seed int64) ([]obsEvent, error) {
 	factors := sim.DelayFactorMap(mod, seed, xvalSpread, func(in *netlist.Inst) bool {
 		return handshake.IsControlOrigin(in.Origin)
 	})
@@ -128,10 +130,7 @@ func (m *Model) simTrace(mod *netlist.Module, seed int64) ([]obsEvent, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := faults.ResetStimulus(mod, 0)(s); err != nil {
-		return nil, err
-	}
-	if err := m.driveEnvironment(s); err != nil {
+	if err := drv.Start(s); err != nil {
 		return nil, err
 	}
 
@@ -154,46 +153,6 @@ func (m *Model) simTrace(mod *netlist.Module, seed int64) ([]obsEvent, error) {
 	}
 	sort.SliceStable(obs, func(a, b int) bool { return obs[a].t < obs[b].t })
 	return obs, nil
-}
-
-// driveEnvironment emulates an eager 4-phase environment on every
-// port-driven channel the model found: requests toggle against the
-// controller's acknowledge, acknowledges mirror the request-out.
-func (m *Model) driveEnvironment(s *sim.Simulator) error {
-	const dt = 0.3
-	for i := range m.sigs {
-		sg := &m.sigs[i]
-		port := sg.name
-		watch := sg.a
-		if watch.sig < 0 {
-			continue
-		}
-		watchNet := m.sigs[watch.sig].name
-		switch sg.kind {
-		case kindEnvSrc:
-			if err := s.Drive(port, logic.H, 2.5); err != nil {
-				return err
-			}
-			if err := s.OnChange(watchNet, func(t float64, v logic.V) {
-				if v == logic.H {
-					_ = s.Drive(port, logic.L, t+dt)
-				} else if v == logic.L && t > 2.0 {
-					_ = s.Drive(port, logic.H, t+dt)
-				}
-			}); err != nil {
-				return err
-			}
-		case kindEnvSink:
-			if err := s.OnChange(watchNet, func(t float64, v logic.V) {
-				if v.Known() {
-					_ = s.Drive(port, v, t+dt)
-				}
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // accept checks one observed trace is a firing sequence of the model:

@@ -307,3 +307,22 @@ func TestFig24AndTable21(t *testing.T) {
 		t.Fatal("Table 2.1 render broken")
 	}
 }
+
+// The desynchronized FIR, fed by the driver's environment, computes the
+// golden FIR model's output stream at the worst corner. The flow-
+// equivalence oracle compares a conversion with its synchronous netlist
+// only; this check also catches a designs.BuildFIR fault both share.
+func TestDesynchronizedFIRComputes(t *testing.T) {
+	f, err := RunFlow("fir", FlowConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := MeasureDFIR(f, netlist.Worst, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !run.Correct || run.Cycles < 18 {
+		t.Fatalf("%+v: want the golden output stream over the 20 samples", *run)
+	}
+	t.Logf("%d outputs, effective period %.3f ns", run.Cycles, run.EffectivePeriod)
+}

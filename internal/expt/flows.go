@@ -13,6 +13,7 @@ import (
 	"desync/internal/core"
 	"desync/internal/designs"
 	"desync/internal/dft"
+	"desync/internal/faults"
 	"desync/internal/logic"
 	"desync/internal/netlist"
 	"desync/internal/power"
@@ -152,17 +153,9 @@ func MeasureDDLX(f *Flow, corner netlist.Corner, scale float64, sel int, cycles 
 	if err != nil {
 		return nil, err
 	}
-	if sel >= 0 {
-		for i := 0; i < 3; i++ {
-			if err := s.Drive(fmt.Sprintf("delsel[%d]", i), logic.FromBool(sel>>i&1 == 1), 0); err != nil {
-				return nil, err
-			}
-		}
+	if err := faults.NewDriver(f.Design.Top, f.Result.Reset, sel, nil).Start(s); err != nil {
+		return nil, err
 	}
-	s.Drive("rstn", logic.L, 0)
-	s.Drive("rst_desync", logic.H, 0)
-	s.Drive("rstn", logic.H, 1)
-	s.Drive("rst_desync", logic.L, 2)
 	// Bound the run generously: worst corner, longest tap.
 	horizon := 2 + f.Period*float64(cycles)*6*scale
 	if err := s.Run(horizon); err != nil {
@@ -170,64 +163,23 @@ func MeasureDDLX(f *Flow, corner netlist.Corner, scale float64, sel int, cycles 
 	}
 
 	times := s.CaptureTimes["pc_r[0]/sl"]
-	run := &MeasureRun{Cycles: len(times)}
-	if len(times) < cycles/2 {
-		return nil, fmt.Errorf("expt: desynchronized DLX stalled: %d captures", len(times))
+	run, err := measured(times, cycles, "DLX")
+	if err != nil {
+		return nil, err
 	}
-	// Steady-state effective period: skip the boot transient.
-	skip := 3
-	if len(times) <= skip+2 {
-		skip = 0
-	}
-	run.EffectivePeriod = (times[len(times)-1] - times[skip]) / float64(len(times)-1-skip)
-
-	// Correctness: PC trace and R7 against the golden model. The trace is
-	// compared only over cycles where every PC bit has a capture (the run
-	// horizon can cut a capture wave in half).
+	// Correctness: PC trace and R7 against the golden model; the k-th rf7
+	// capture is R7 after k+1 model cycles.
 	model := designs.NewModel(designs.TestProgram())
 	model.Run(len(times))
-	kmax := len(times)
-	for i := 0; i < designs.PCBits; i++ {
-		if n := len(s.Captures[fmt.Sprintf("pc_r[%d]/sl", i)]); n < kmax {
-			kmax = n
-		}
+	r7s := slaveWords(s, "rf7_r", 16)
+	run.Correct = len(r7s) >= 2
+	for k, pc := range slaveWords(s, "pc_r", designs.PCBits) {
+		run.Correct = run.Correct && pc == model.Trace[k]
 	}
-	run.Correct = true
-	for k := 0; k < kmax && run.Correct; k++ {
-		var pc uint16
-		for i := 0; i < designs.PCBits; i++ {
-			if s.Captures[fmt.Sprintf("pc_r[%d]/sl", i)][k] == logic.H {
-				pc |= 1 << uint(i)
-			}
-		}
-		if pc != model.Trace[k] {
-			run.Correct = false
-		}
-	}
-	// R7 check from the recorded capture values (net state can be cut
-	// mid-settling by the run horizon): the k-th capture of the rf7 slave
-	// latches is R7 after k+1 model cycles.
-	kLast := -1
-	for i := 0; i < 16; i++ {
-		n := len(s.Captures[fmt.Sprintf("rf7_r[%d]/sl", i)])
-		if kLast < 0 || n-1 < kLast {
-			kLast = n - 1
-		}
-	}
-	if kLast < 1 {
-		run.Correct = false
-	} else {
+	if run.Correct {
 		m2 := designs.NewModel(designs.TestProgram())
-		m2.Run(kLast + 1)
-		var r7 uint16
-		for i := 0; i < 16; i++ {
-			if s.Captures[fmt.Sprintf("rf7_r[%d]/sl", i)][kLast] == logic.H {
-				r7 |= 1 << uint(i)
-			}
-		}
-		if r7 != m2.Regs[7] {
-			run.Correct = false
-		}
+		m2.Run(len(r7s))
+		run.Correct = r7s[len(r7s)-1] == m2.Regs[7]
 	}
 
 	// Power over the active window.
@@ -238,6 +190,38 @@ func MeasureDDLX(f *Flow, corner netlist.Corner, scale float64, sel int, cycles 
 	}
 	run.DynamicMW, run.LeakageMW = rep.DynamicMW, rep.LeakageMW
 	return run, nil
+}
+
+// measured starts a run's record from one register bit's slave capture
+// times: the count and the steady-state period past the boot transient.
+func measured(times []float64, want int, design string) (*MeasureRun, error) {
+	if len(times) < want/2 {
+		return nil, fmt.Errorf("expt: desynchronized %s stalled: %d captures", design, len(times))
+	}
+	skip := 3
+	if len(times) <= skip+2 {
+		skip = 0
+	}
+	return &MeasureRun{Cycles: len(times), EffectivePeriod: (times[len(times)-1] - times[skip]) / float64(len(times)-1-skip)}, nil
+}
+
+// slaveWords reads the slave captures of the register bus base[0..width)
+// as words, over the captures every bit has made (a run's horizon can cut
+// a capture wave in half).
+func slaveWords(s *sim.Simulator, base string, width int) []uint16 {
+	n := len(s.Captures[netlist.BusBit(base, 0)+"/sl"])
+	for i := 1; i < width; i++ {
+		n = min(n, len(s.Captures[netlist.BusBit(base, i)+"/sl"]))
+	}
+	words := make([]uint16, n)
+	for k := range words {
+		for i := 0; i < width; i++ {
+			if s.Captures[netlist.BusBit(base, i)+"/sl"][k] == logic.H {
+				words[k] |= 1 << i
+			}
+		}
+	}
+	return words
 }
 
 // MeasureDLX simulates the synchronous DLX at a corner and period and

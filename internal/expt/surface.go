@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"desync/internal/faults"
 	"desync/internal/stdcells"
 	"desync/internal/sweep"
 )
@@ -64,7 +65,7 @@ func RobustnessSurface(ctx context.Context, f *Flow, cfg SurfaceConfig) (*sweep.
 		cfg.Cycles = 6
 	}
 	if cfg.DelayFactor == 0 {
-		cfg.DelayFactor = campaignDelayFactor
+		cfg.DelayFactor = faults.DelayFactor
 	}
 	if cfg.DelayPerRegion == 0 {
 		cfg.DelayPerRegion = campaignDelayPerRegion

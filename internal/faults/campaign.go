@@ -12,17 +12,10 @@ import (
 	"desync/internal/sim"
 )
 
-// Config sets up a campaign against one desynchronized module.
-type Config struct {
-	// Stimulus drives the primary inputs of a fresh simulator (reset
-	// sequencing, tap selection). It runs before any fault is applied.
-	Stimulus func(s *sim.Simulator) error
-	// Horizon bounds every run (ns).
-	Horizon float64
-	// QuiescenceGap arms the deadlock watchdog: the handshake nets must not
-	// stop cycling more than this long (ns) before the horizon.
-	QuiescenceGap float64
-}
+// DelayFactor slows each delay-faulted gate of the flow's campaigns far
+// past the sizing margin, so the matched element demonstrably no longer
+// covers the path.
+const DelayFactor = 40
 
 // Every run, golden and faulted, simulates at campaignCorner with every
 // watchdog armed, the latch setup monitor included; only a scenario's
@@ -44,8 +37,11 @@ const (
 // Campaign holds the design under test and the golden (unfaulted) reference
 // run every faulted run is classified against.
 type Campaign struct {
-	M   *netlist.Module
-	cfg Config
+	M *netlist.Module
+	// stim starts every run, horizon bounds it (ns), and the watchdog trips
+	// when the handshake nets stop cycling more than gap ns before it.
+	stim         func(*sim.Simulator) error
+	horizon, gap float64
 
 	// Golden-run observables.
 	goldenCaptures map[string][]logic.V
@@ -63,23 +59,22 @@ type Campaign struct {
 	regions   []int
 }
 
-// NewCampaign discovers the design's regions and handshake nets, then runs
-// the unfaulted reference simulation with every watchdog armed. A clean
-// design must produce zero diagnostics — anything else is a config or flow
-// bug, reported as an error here rather than silently polluting every
-// classification after it. After construction the module is treated as
-// read-only: faulted runs never mutate it, so Run can fan them out.
-func NewCampaign(ctx context.Context, m *netlist.Module, cfg Config) (*Campaign, error) {
+// NewCampaign arms a campaign on a converted design: stim starts every run
+// (the flow passes its driver's Start), runs last 2 ns plus six times
+// cycles clock periods (12 when cycles <= 0), and the deadlock watchdog's
+// quiescence gap is eight periods. It runs the unfaulted reference with
+// every watchdog armed: a clean design must produce zero diagnostics, and
+// anything else is a stimulus or flow bug, reported here rather than
+// polluting every classification after it. The module is read-only
+// afterwards: faulted runs never mutate it, so Run can fan them out.
+func NewCampaign(ctx context.Context, m *netlist.Module, stim func(*sim.Simulator) error, period float64, cycles int) (*Campaign, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cfg.Stimulus == nil {
-		return nil, fmt.Errorf("faults: config needs a Stimulus function")
+	if cycles <= 0 {
+		cycles = 12
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("faults: config needs a positive Horizon")
-	}
-	c := &Campaign{M: m, cfg: cfg, cn: ctrlnet.Derive(m)}
+	c := &Campaign{M: m, stim: stim, horizon: 2 + period*float64(cycles)*6, gap: 8 * period, cn: ctrlnet.Derive(m)}
 
 	if c.cn.Empty() {
 		return nil, fmt.Errorf("faults: module %s has no desynchronized regions", m.Name)
@@ -98,11 +93,11 @@ func NewCampaign(ctx context.Context, m *netlist.Module, cfg Config) (*Campaign,
 
 	// Golden run: X guard off (the design boots through X), everything else
 	// armed.
-	s, err := c.newSim(0, -1, nil)
+	s, err := c.newSim(0, -1, nil, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Run(cfg.Horizon); err != nil {
+	if err := s.Run(c.horizon); err != nil {
 		return nil, fmt.Errorf("faults: golden run failed: %w", err)
 	}
 	if diags := s.Diagnostics(); len(diags) > 0 {
@@ -127,7 +122,7 @@ func NewCampaign(ctx context.Context, m *netlist.Module, cfg Config) (*Campaign,
 		// Skip the first interval: the boot handshake is not steady-state.
 		c.effPeriod = (busiest[n-1] - busiest[1]) / float64(n-2)
 	} else {
-		c.effPeriod = cfg.Horizon / 4
+		c.effPeriod = c.horizon / 4
 	}
 	if len(c.goldenCaptures) == 0 {
 		return nil, fmt.Errorf("faults: golden run captured nothing (bad stimulus or horizon?)")
@@ -141,19 +136,14 @@ func (c *Campaign) Regions() []int { return append([]int(nil), c.regions...) }
 // GoldenEvents reports the unfaulted run's event count (the budget base).
 func (c *Campaign) GoldenEvents() int64 { return c.goldenEvents }
 
-// newSim builds a stimulated simulator with the watchdog armed.
-// xAfter < 0 disables the X-capture guard (golden run); maxEvents 0 keeps
-// the simulator default; factors are per-sim delay-factor overrides
-// (delay-fault injection without touching the shared module).
-func (c *Campaign) newSim(maxEvents int64, xAfter float64, factors map[string]float64) (*sim.Simulator, error) {
-	return c.newScenarioSim(maxEvents, xAfter, factors, 1, nil)
-}
-
-// newScenarioSim is newSim at an arbitrary operating point: the global
+// newSim builds a stimulated simulator with the watchdog armed. xAfter < 0
+// disables the X-capture guard (golden run); maxEvents 0 keeps the
+// simulator default; factors are per-sim delay-factor overrides
+// (delay-fault injection without touching the shared module). The global
 // scale stretches every delay (and the quiescence gap, so the deadlock
 // verdict tracks the stretched time axis), and interrupt is polled inside
 // Run for deadlines and cancellation.
-func (c *Campaign) newScenarioSim(maxEvents int64, xAfter float64, factors map[string]float64, scale float64, interrupt func() error) (*sim.Simulator, error) {
+func (c *Campaign) newSim(maxEvents int64, xAfter float64, factors map[string]float64, scale float64, interrupt func() error) (*sim.Simulator, error) {
 	s, err := sim.New(c.M, sim.Config{
 		Corner: campaignCorner, Scale: scale, MaxEvents: maxEvents,
 		DelayFactors: factors, Interrupt: interrupt,
@@ -163,13 +153,13 @@ func (c *Campaign) newScenarioSim(maxEvents int64, xAfter float64, factors map[s
 	}
 	if err := s.Watch(sim.WatchdogConfig{
 		HandshakeNets: c.handshake,
-		QuiescenceGap: c.cfg.QuiescenceGap * scale,
+		QuiescenceGap: c.gap * scale,
 		SetupGuard:    true,
 		XCaptureAfter: xAfter,
 	}); err != nil {
 		return nil, err
 	}
-	if err := c.cfg.Stimulus(s); err != nil {
+	if err := c.stim(s); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -179,36 +169,14 @@ func (c *Campaign) newScenarioSim(maxEvents int64, xAfter float64, factors map[s
 // capture sequence beats a stall, a stall beats a watchdog report, and a
 // simulator abort (event budget — oscillation) catches the rest.
 func (c *Campaign) classify(out *Outcome, s *sim.Simulator, runErr error) {
-	names := make([]string, 0, len(c.goldenCaptures))
-	for name := range c.goldenCaptures {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	for _, name := range names {
-		want, got := c.goldenCaptures[name], s.Captures[name]
-		n := len(want)
-		if len(got) < n {
-			n = len(got)
-		}
-		for k := 0; k < n; k++ {
-			if got[k] != want[k] {
-				out.Detected, out.By = true, ByFlowMismatch
-				out.Detail = fmt.Sprintf("%s capture %d: golden %v, faulted %v", name, k, want[k], got[k])
-				return
-			}
-		}
-	}
-	for _, name := range names {
-		want := len(c.goldenCaptures[name])
-		if want < 2 {
-			continue
-		}
-		if got := len(s.Captures[name]); float64(got) < livenessFraction*float64(want) {
-			out.Detected, out.By = true, ByLiveness
-			out.Detail = fmt.Sprintf("%s captured %d of %d golden values", name, got, want)
-			return
-		}
+	if ce, _ := diverge(c.goldenCaptures, s.Captures, s.CaptureTimes); ce != nil && ce.Of == 0 {
+		out.Detected, out.By = true, ByFlowMismatch
+		out.Detail = fmt.Sprintf("%s capture %d: golden %v, faulted %v", ce.Latch, ce.Index, ce.Want, ce.Got)
+		return
+	} else if ce != nil {
+		out.Detected, out.By = true, ByLiveness
+		out.Detail = fmt.Sprintf("%s captured %d of %d golden values", ce.Latch, ce.Index, ce.Of)
+		return
 	}
 	if len(out.Diags) > 0 {
 		out.Detected, out.By = true, ByWatchdog

@@ -93,7 +93,7 @@ func (c *Campaign) RunScenario(ctx context.Context, sc Scenario) (Outcome, error
 	}
 
 	budget := int64(float64(c.goldenEvents)*maxEventsFactor) + eventBudgetHeadroom
-	s, err := c.newScenarioSim(budget, c.lastGoldenX*scale, factors, scale, sc.Interrupt)
+	s, err := c.newSim(budget, c.lastGoldenX*scale, factors, scale, sc.Interrupt)
 	if err != nil {
 		return out, err
 	}
@@ -116,7 +116,7 @@ func (c *Campaign) RunScenario(ctx context.Context, sc Scenario) (Outcome, error
 		return out, fmt.Errorf("faults: unknown fault class %q", f.Class)
 	}
 
-	runErr := s.Run(c.cfg.Horizon * scale)
+	runErr := s.Run(c.horizon * scale)
 	if sc.Interrupt != nil {
 		// An interrupt (deadline, cancellation) is the caller's verdict to
 		// make, not a fault detection.

@@ -27,12 +27,12 @@ import (
 // calls happen, and in-flight computes are cancelled. Once ctx is cancelled
 // (by the caller, or by fold itself through the caller's cancel func) no
 // further fold calls happen either, as in the serial path, even for results
-// already computed; Fold then returns ctx.Err(). A compute error also
-// stops the fold — results already folded stay folded (the journal keeps a
-// valid prefix), and the error returned is deterministic ForEach-style: the
-// lowest-index compute error that is not a cancellation echo. Because the
-// fold is strictly ordered, a fold error always precedes (in index order)
-// any concurrent compute error, so it wins.
+// already computed; Fold then returns ctx.Err(). A compute error stops the
+// fold as on the serial path: every index below the lowest failing one is
+// computed and folded (a valid journal prefix), and the error returned is
+// ForEach's, the lowest-index compute error that is not a cancellation
+// echo. A fold error always precedes (in index order) any concurrent
+// compute error, so it wins.
 func Fold[R any](ctx context.Context, start, n int, compute func(ctx context.Context, i int) (R, error), fold func(i int, r R) error) error {
 	if start < 0 {
 		start = 0
@@ -72,8 +72,9 @@ func Fold[R any](ctx context.Context, start, n int, compute func(ctx context.Con
 	// Every slot in flight holds a token, so a send on ch never blocks.
 	tokens := make(chan struct{}, 2*workers)
 	ch := make(chan slot, 2*workers)
-	var next atomic.Int64
+	var next, low atomic.Int64 // low: the lowest failing index so far
 	next.Store(int64(start))
+	low.Store(int64(n))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -85,12 +86,12 @@ func Fold[R any](ctx context.Context, start, n int, compute func(ctx context.Con
 				case <-cctx.Done():
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n || cctx.Err() != nil {
+				i := next.Add(1) - 1
+				if i >= low.Load() || cctx.Err() != nil {
 					return
 				}
-				r, err := compute(cctx, i)
-				ch <- slot{i: i, r: r, err: err}
+				r, err := compute(cctx, int(i))
+				ch <- slot{i: int(i), r: r, err: err}
 			}
 		}()
 	}
@@ -106,26 +107,24 @@ func Fold[R any](ctx context.Context, start, n int, compute func(ctx context.Con
 	for s := range ch {
 		if s.err != nil {
 			errs[s.i] = s.err
-			cancel()
-			continue
+			low.Store(min(low.Load(), int64(s.i))) // the one writer
+		} else {
+			pending[s.i] = s
 		}
-		if foldErr != nil || len(errs) > 0 {
-			continue // draining after a stop: never fold past the first error
-		}
-		pending[s.i] = s
-		for ctx.Err() == nil {
+		// Fold in order up to the lowest failure, then stop what still runs.
+		for foldErr == nil && int64(want) < low.Load() && ctx.Err() == nil {
 			p, ok := pending[want]
 			if !ok {
 				break
 			}
 			delete(pending, want)
-			if err := fold(p.i, p.r); err != nil {
-				foldErr = err
-				cancel()
-				break
+			if foldErr = fold(p.i, p.r); foldErr == nil {
+				<-tokens
+				want++
 			}
-			<-tokens
-			want++
+		}
+		if foldErr != nil || int64(want) >= low.Load() {
+			cancel()
 		}
 	}
 	if foldErr != nil {

@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -76,34 +77,32 @@ func TestFoldEmpty(t *testing.T) {
 	}
 }
 
-// TestFoldComputeError: a failing compute surfaces its own error (not a
-// cancellation echo) and the fold stops on a contiguous prefix strictly
-// before the failed index — the journal is left valid.
+// TestFoldComputeError: as on the serial path, the lowest failing compute
+// surfaces its own error (not a cancellation echo) and every index below
+// it is folded, in one contiguous prefix — the journal is left valid.
 func TestFoldComputeError(t *testing.T) {
-	boom := errors.New("boom")
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(workers)
-		last := -1
-		err := Fold(context.Background(), 0, 200,
-			func(_ context.Context, i int) (int, error) {
-				if i == 37 {
-					return 0, boom
-				}
-				return i, nil
-			},
-			func(i, r int) error {
-				if i != last+1 {
-					t.Fatalf("workers=%d: non-contiguous fold at %d after %d", workers, i, last)
-				}
-				last = i
-				return nil
-			})
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: got %v, want boom", workers, err)
-		}
-		if last >= 37 {
-			t.Fatalf("workers=%d: folded index %d past the failure", workers, last)
+		for trial := 0; trial < 20; trial++ {
+			last := -1
+			err := Fold(context.Background(), 0, 200,
+				func(_ context.Context, i int) (int, error) {
+					if i == 7 || i == 37 || i == 40 {
+						return 0, fmt.Errorf("task %d failed", i)
+					}
+					return i, nil
+				},
+				func(i, r int) error {
+					if i != last+1 {
+						t.Fatalf("workers=%d: non-contiguous fold at %d after %d", workers, i, last)
+					}
+					last = i
+					return nil
+				})
+			if err == nil || err.Error() != "task 7 failed" || last != 6 {
+				t.Fatalf("workers=%d: got %v after folding up to %d, want task 7 failed after 6", workers, err, last)
+			}
 		}
 	}
 }

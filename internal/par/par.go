@@ -31,12 +31,12 @@ func Workers() int {
 // arbitrary — fn must write any result it produces into an index-addressed
 // slot.
 //
-// Error-group semantics: the first task error cancels the shared context,
-// the remaining workers drain without claiming new tasks, and the error
-// returned is deterministic — the lowest-index task error that is not the
-// cancellation echo, so the same failing input reports the same failure at
-// any worker count. A parent-context cancellation with no task error
-// returns ctx.Err().
+// Error-group semantics, as on the serial path: every task below the
+// lowest failing index runs to completion, none above it starts once the
+// failure is seen, and the error returned is deterministic — the
+// lowest-index task error that is not a cancellation echo, at any worker
+// count. A parent-context cancellation with no task error returns
+// ctx.Err().
 func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -59,26 +59,23 @@ func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) err
 		return nil
 	}
 
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	errs := make([]error, n)
-	var next atomic.Int64
+	var next, low atomic.Int64 // low: the lowest failing index so far
+	low.Store(int64(n))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				i := next.Add(1) - 1
+				if i >= low.Load() || ctx.Err() != nil {
 					return
 				}
-				if err := cctx.Err(); err != nil {
-					return
-				}
-				if err := fn(cctx, i); err != nil {
+				if err := fn(ctx, int(i)); err != nil {
 					errs[i] = err
-					cancel()
+					for l := low.Load(); i < l && !low.CompareAndSwap(l, i); l = low.Load() {
+					}
 				}
 			}
 		}()

@@ -222,16 +222,6 @@ func (s *Simulator) Drive(port string, v logic.V, at float64) error {
 	return nil
 }
 
-// DriveVector drives a bit-blasted input bus with an integer value.
-func (s *Simulator) DriveVector(base string, width int, value uint64, at float64) error {
-	for i := 0; i < width; i++ {
-		if err := s.Drive(fmt.Sprintf("%s[%d]", base, i), logic.FromBool(value>>uint(i)&1 == 1), at); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Clock schedules a 50%-duty clock on an input port from start until until.
 // The clock starts low (so the first rising edge falls at start+period/2),
 // giving flip-flops a clean 0→1 edge from the initial X state.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,7 +14,6 @@ import (
 
 	"desync/internal/expt"
 	"desync/internal/faults"
-	"desync/internal/logic"
 	"desync/internal/sim"
 	"desync/internal/sweep"
 )
@@ -184,27 +182,14 @@ func panickingCampaign(t *testing.T) *faults.Campaign {
 	c := dlxCampaign(t) // ensure the shared flow exists
 	_ = c
 	var calls atomic.Int32
+	drv := faults.NewDriver(flow.Design.Top, flow.Result.Reset, 0, nil)
 	stim := func(s *sim.Simulator) error {
 		if calls.Add(1) > 1 {
 			panic("injected scenario panic")
 		}
-		if flow.Design.Top.Port("delsel[0]") != nil {
-			for i := 0; i < 3; i++ {
-				if err := s.Drive(fmt.Sprintf("delsel[%d]", i), logic.L, 0); err != nil {
-					return err
-				}
-			}
-		}
-		s.Drive("rstn", logic.L, 0)
-		s.Drive("rst_desync", logic.H, 0)
-		s.Drive("rstn", logic.H, 1)
-		return s.Drive("rst_desync", logic.L, 2)
+		return drv.Start(s)
 	}
-	pc, err := faults.NewCampaign(context.Background(), flow.Design.Top, faults.Config{
-		Stimulus:      stim,
-		Horizon:       2 + flow.Period*6*6,
-		QuiescenceGap: 8 * flow.Period,
-	})
+	pc, err := faults.NewCampaign(context.Background(), flow.Design.Top, stim, flow.Period, 6)
 	if err != nil {
 		t.Fatalf("building panicking campaign: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"desync/internal/core"
+	"desync/internal/ctrlnet"
 	"desync/internal/netlist"
 	"desync/internal/sta"
 )
@@ -73,6 +74,7 @@ func (backend) Generate(ctx context.Context, f *core.Flow) error {
 		return err
 	}
 	f.Res.Constraints = tp.Constraints
+	f.Res.Reset = ctrlnet.Reset{Port: RstPortName, Width: tp.HalfPeriod} // one traversal flushes the ring
 	return nil
 }
 

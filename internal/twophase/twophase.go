@@ -96,7 +96,6 @@ type Result struct {
 	// GenCells counts the generator core (source, inverter, splitter,
 	// ring and non-overlap chains); DistBufs the per-region buffers.
 	GenCells, DistBufs int
-	RstPort            string
 	Constraints        *sdc.Constraints
 	Claim              *Claim
 }
@@ -196,7 +195,6 @@ func Generate(d *netlist.Design, enables map[int]Enable, res *Result) error {
 		return fmt.Errorf("twophase: port %s already exists", RstPortName)
 	}
 	rst := m.AddPort(RstPortName, netlist.In).Net
-	res.RstPort = RstPortName
 
 	norCell, err := lib.Cell(srcCellName)
 	if err != nil {

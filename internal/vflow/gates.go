@@ -167,22 +167,15 @@ func (r *runner) faultsGate(ctx context.Context) error {
 	if period <= 0 {
 		return r.fail(v, errors.New("fault campaign: no period given and no region budget to derive one"))
 	}
-	cycles, perRegion := o.FaultCycles, o.FaultsPerRegion
-	if cycles <= 0 {
-		cycles = 12
-	}
+	perRegion := o.FaultsPerRegion
 	if perRegion <= 0 {
 		perRegion = 2
 	}
-	c, err := faults.NewCampaign(ctx, d.Top, faults.Config{
-		Stimulus:      faults.ResetStimulus(d.Top, 0),
-		Horizon:       2 + period*float64(cycles)*6,
-		QuiescenceGap: 8 * period,
-	})
+	c, err := faults.NewCampaign(ctx, d.Top, faults.NewDriver(d.Top, r.Result.Reset, 0, nil).Start, period, o.FaultCycles)
 	if err != nil {
 		return r.fail(v, fmt.Errorf("fault campaign: %w", err))
 	}
-	list := c.DelayFaults(40, perRegion)
+	list := c.DelayFaults(faults.DelayFactor, perRegion)
 	list = append(list, c.ControlStuckFaults()...)
 	rep, err := c.Run(ctx, list)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"desync/internal/ctrlnet"
 	"desync/internal/designs"
 	"desync/internal/equiv"
+	"desync/internal/faults"
 	"desync/internal/lint"
 	"desync/internal/netlist"
 	"desync/internal/stdcells"
@@ -241,6 +242,29 @@ func TestFaultsPeriodFromBudgets(t *testing.T) {
 	}
 	if v := out.Verdict(GateFaults); v.Status != Ran || out.Faults == nil || len(out.Faults.Outcomes) == 0 {
 		t.Fatalf("faults verdict %+v, report %v", v, out.Faults)
+	}
+}
+
+// TestFaultsOnOpenBoundaries: the campaign's driver answers the
+// environment ports of open-boundary designs, so the golden runs of the
+// FIR and a riscv pipeline complete and every delay and stuck-at fault is
+// detected.
+func TestFaultsOnOpenBoundaries(t *testing.T) {
+	for _, c := range []struct {
+		spec         string
+		period       float64
+		delay, stuck int
+	}{{"fir", 6.0, 4, 24}, {"riscv:depth=8,regions=8", 0, 16, 64}} {
+		out, err := Run(context.Background(), fromSpec(c.spec), Options{Faults: true,
+			Flow: core.Options{Period: c.period, ManualGroups: designs.PreGrouped(c.spec)}})
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		for class, want := range map[faults.Class]int{faults.ClassDelay: c.delay, faults.ClassStuckAt: c.stuck} {
+			if d, n := out.Faults.Detected(class); d != want || n != want {
+				t.Errorf("%s: %s faults %d of %d detected, want %d of %d", c.spec, class, d, n, want, want)
+			}
+		}
 	}
 }
 
