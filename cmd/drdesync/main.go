@@ -93,8 +93,8 @@ func main() {
 	flag.IntVar(&o.EquivXval, "equiv-xval", 0, "cross-validate the -equiv model against N randomized simulator traces")
 	cliutil.SeedVar(flag.CommandLine, &o.EquivSeed, "equiv-seed", 1, "PRNG seed for -equiv-xval traces")
 	flag.BoolVar(&o.Faults, "faults", false, "run a fault-injection campaign on the desynchronized design")
-	flag.IntVar(&o.FaultCycles, "fault-cycles", 12, "campaign run length in clock periods")
-	flag.IntVar(&o.FaultsPerRegion, "faults-per-region", 2, "delay faults injected per region")
+	flag.IntVar(&o.FaultCycles, "fault-cycles", vflow.DefaultFaultCycles, "campaign run length in clock periods")
+	flag.IntVar(&o.FaultsPerRegion, "faults-per-region", vflow.DefaultFaultsPerRegion, "delay faults injected per region")
 	flag.Parse()
 	if (o.in == "") == (o.gen == "") || o.out == "" {
 		flag.Usage()

@@ -51,7 +51,8 @@ func TestCLIServerParity(t *testing.T) {
 	}
 	cases = append(cases,
 		parityCase{input{name: "dlx-margin", gen: "dlx", lib: "HS", period: 4.65, margin: 0.05}, core.BackendDesync},
-		parityCase{input{name: "dlx-cdet", gen: "dlx", lib: "HS", period: 4.65, mode: core.ModeCompletion}, core.BackendDesync})
+		parityCase{input{name: "dlx-cdet", gen: "dlx", lib: "HS", period: 4.65, mode: core.ModeCompletion}, core.BackendDesync},
+		parityCase{input{name: "fir-cdet", gen: "fir", lib: "HS", period: 6, mode: core.ModeCompletion}, core.BackendDesync})
 
 	base := startServer(t)
 	for _, tc := range cases {

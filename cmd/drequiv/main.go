@@ -19,9 +19,10 @@
 // example designs without carrying netlist artifacts. -xval N
 // cross-validates the model against N randomized simulator traces (seeded
 // with -seed, recorded in the JSON report, so failures reproduce). The
-// exploration and cross-validation run GOMAXPROCS workers; the report —
-// state counts, counterexample traces, truncation — is identical at any
-// GOMAXPROCS, so -max-states and -no-reduce compose with it unchanged.
+// exploration is one serial breadth-first search; the cross-validation
+// traces run on GOMAXPROCS workers. The report — state counts,
+// counterexample traces, truncation, cross-validation — is identical at
+// any GOMAXPROCS.
 // -dump-ce writes the counterexample of a violated property as a JSON
 // trace; -replay feeds such a trace back through the gate-level simulator
 // to confirm the interleaving dynamically.

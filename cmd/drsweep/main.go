@@ -39,6 +39,7 @@ import (
 
 	"desync/internal/cliutil"
 	"desync/internal/expt"
+	"desync/internal/faults"
 	"desync/internal/sweep"
 )
 
@@ -70,8 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.chips, "chips", 3, "Monte Carlo chips (intra-die draws) per corner")
 	fs.Float64Var(&o.sigma, "sigma", 0.05, "per-instance intra-die mismatch sigma")
 	fs.IntVar(&o.cycles, "cycles", 6, "simulated original-clock cycles per scenario")
-	fs.Float64Var(&o.delayFactor, "delay-factor", 40, "delay-fault factor (raised per gate until under-margin)")
-	fs.IntVar(&o.perRegion, "per-region", 2, "delay faults per region (most active gates first)")
+	fs.Float64Var(&o.delayFactor, "delay-factor", faults.DelayFactor, "delay-fault factor (raised per gate until under-margin)")
+	fs.IntVar(&o.perRegion, "per-region", faults.DefaultDelayPerRegion, "delay faults per region (most active gates first)")
 	fs.BoolVar(&o.glitches, "glitches", false, "include the glitch faults (informative: glitches may escape)")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "append-only journal path for crash/SIGTERM resume")
 	fs.BoolVar(&o.resume, "resume", false, "replay the -checkpoint journal's clean prefix and continue it")

@@ -240,13 +240,10 @@ func InsertControlNetwork(d *netlist.Design, ddg *DDG, enables map[int]EnableNet
 			if err != nil {
 				return nil, err
 			}
+			// A region without a combinational cloud (a pure register
+			// chain) falls back to the matched element sized for it.
 			completed = built
 			reqFromCdet = doneInst + "/A"
-			if !built {
-				// Regions without a combinational cloud (pure register
-				// chains) fall back to a minimal matched element.
-				levels[g] = 1
-			}
 		}
 		claim.Completion[g] = completed
 		reqFrom := reqFromCdet

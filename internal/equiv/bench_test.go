@@ -21,6 +21,24 @@ const dlxStates = 4013
 // gate runs inside drdesync and make check; it must stay interactive.
 const dlxExploreBudget = 30 * time.Second
 
+// TestExploreDLXAllocs bounds one reduced DLX exploration at 50,000
+// allocations and pins its marking count. The search allocates per fired
+// transition (the successor marking and its visited-set key), so a
+// per-marking or per-level cost added back shows up here first.
+func TestExploreDLXAllocs(t *testing.T) {
+	dlx := converted(t, "dlx").Top
+	m, err := FromNetwork(dlx, ctrlnet.Derive(dlx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	allocs := testing.AllocsPerRun(2, func() { res = mustExplore(t, m, ExploreOptions{}) })
+	if !res.Clean() || res.States != dlxStates || allocs >= 50_000 {
+		t.Fatalf("DLX exploration: clean %v, %d markings (pinned %d), %.0f allocations (bound 50000)",
+			res.Clean(), res.States, dlxStates, allocs)
+	}
+}
+
 // BenchmarkEquivDLX guards the formal gate's cost on the DLX case study:
 // the reduced state count must stay exactly dlxStates and a single
 // exploration must finish within dlxExploreBudget.
@@ -47,45 +65,9 @@ func BenchmarkEquivDLX(b *testing.B) {
 	b.ReportMetric(float64(dlxStates), "markings")
 }
 
-// BenchmarkEquivParallelDLX prices the same exploration with the parallel
-// frontier engine at GOMAXPROCS 4. On a single-core host this measures the
-// sharding overhead, not a speedup; the guard is the determinism pin — the
-// parallel search must land on exactly the serial state count.
-func BenchmarkEquivParallelDLX(b *testing.B) {
-	dlx := converted(b, "dlx").Top
-	m, err := FromNetwork(dlx, ctrlnet.Derive(dlx))
-	if err != nil {
-		b.Fatalf("FromNetwork: %v", err)
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		res := mustExplore(b, m, ExploreOptions{})
-		if d := time.Since(start); d > dlxExploreBudget {
-			b.Fatalf("exploration took %v, budget %v", d, dlxExploreBudget)
-		}
-		if !res.Clean() {
-			b.Fatalf("DLX network no longer verifies: %+v", res.Violation)
-		}
-		if res.States != dlxStates {
-			b.Fatalf("parallel state count drifted: got %d, pinned %d", res.States, dlxStates)
-		}
-	}
-	b.ReportMetric(float64(dlxStates), "markings")
-}
-
-// BenchmarkEquivScaling measures the two equiv kernels across GOMAXPROCS
-// values for the EXPERIMENTS.md scaling table: the DLX full-interleaving
-// search bounded at 20k markings (the reduced search, at 4013 markings in
-// single-digit milliseconds, is too small to time) and the ARM
-// cross-validation trace fan-out.
+// BenchmarkEquivScaling measures the ARM cross-validation trace fan-out
+// across GOMAXPROCS values for the EXPERIMENTS.md parallel-kernels table.
 func BenchmarkEquivScaling(b *testing.B) {
-	dlx := converted(b, "dlx").Top
-	md, err := FromNetwork(dlx, ctrlnet.Derive(dlx))
-	if err != nil {
-		b.Fatal(err)
-	}
 	arm := converted(b, "arm").Top
 	ma, err := FromNetwork(arm, ctrlnet.Derive(arm))
 	if err != nil {
@@ -94,14 +76,6 @@ func BenchmarkEquivScaling(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, j := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(j)
-		b.Run(fmt.Sprintf("dlx-full-j%d", j), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := mustExplore(b, md, ExploreOptions{NoReduce: true, MaxStates: 20_000})
-				if !res.Truncated {
-					b.Fatalf("expected a bounded search, got %d markings", res.States)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("arm-xval-j%d", j), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				x, err := ma.CrossValidate(context.Background(), arm, XValConfig{Traces: 4, Seed: 7})

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-
-	"desync/internal/par"
 )
 
 // genCap bounds how far the generation counters may spread after
@@ -351,173 +349,83 @@ type ExploreOptions struct {
 // DefaultMaxStates is the marking budget when none is given.
 const DefaultMaxStates = 500_000
 
-// visitEntry is the striped visited-set record of one discovered marking:
-// the parent edge for counterexample reconstruction, plus the occurrence
-// priority that decides which of several concurrent discoveries "won" —
-// the one the serial search would have kept.
+// visitEntry records the edge a marking was first discovered through: the
+// marking it was fired from and the signal that fired (-1 for the root).
 type visitEntry struct {
-	prio uint64
-	prev string
+	prev state
 	sig  int32
 }
-
-// prioShift packs an occurrence priority as (popIndex+1) << prioShift |
-// fireListPosition: strictly increasing along the serial pop/fire order,
-// unique per occurrence, and never zero (zero is the root's). 20 bits for
-// the fire-list position is far above any model's signal count.
-const prioShift = 20
 
 // Explore runs the breadth-first reachability analysis and returns the
 // verification result. The search stops at the first property violation
 // (BFS order makes its counterexample trace minimal in transition count)
 // or when the marking budget is exhausted, which is reported explicitly as
 // truncation, never silently as a proof. The only error is ctx
-// cancellation, checked once per frontier level.
+// cancellation, checked on entry and every 1024 markings.
 //
-// The search is level-synchronous and deterministic at any worker count:
-// the frontier (exactly the serial queue at a level boundary) is processed
-// by parallel workers whose per-state work — excitation, prioritization,
-// the persistent-singleton reduction, firing — is pure, and successors are
-// claimed in the striped visited-set with insert-if-min over occurrence
-// priorities, so the surviving parent edge for every marking is the one
-// the serial first-writer would have recorded. A serial ordered merge then
-// replays the pop sequence over the per-state records: it counts the
-// state budget (truncating mid-level exactly like the serial loop), folds
-// hazard notes in encounter order, appends to the next frontier only the
-// occurrence that won its marking, and keeps the first violation in
-// (state, transition) order. Workers past a truncation or violation point
-// may have inserted extra visited entries; exploration stops before
-// reading them, so no reported field can differ.
+// The search is one FIFO loop. Each popped marking is counted against the
+// budget, reported as a deadlock if nothing is excited, and has its hazard
+// notes folded; then its prioritized transitions (persistent-singleton
+// reduced unless NoReduce) fire in order, and the first violation ends the
+// search. The counterexample trace follows first-discovery edges back to
+// reset.
 func (m *Model) Explore(ctx context.Context, opts ExploreOptions) (*Result, error) {
 	max := opts.MaxStates
 	if max <= 0 {
 		max = DefaultMaxStates
 	}
-	workers := par.Workers()
 	res := &Result{
 		Design: m.Design, Regions: len(m.Regions), Signals: len(m.sigs),
 		MaxStates: max, Reduced: !opts.NoReduce,
 	}
-
 	init := m.initial()
-	visited := par.NewStriped[visitEntry](4 * workers)
-	visited.Update(string(init), func(old visitEntry, ok bool) (visitEntry, bool) {
-		return visitEntry{sig: -1}, !ok
-	})
-
-	type succRef struct {
-		key  string
-		prio uint64
-	}
-	// stateRec is one frontier state's precomputed expansion, merged
-	// serially afterwards.
-	type stateRec struct {
-		key      string
-		deadlock bool
-		viol     *Violation
-		violSig  int
-		succs    []succRef
-		notes    []string
-	}
-
-	frontier := []state{init}
-	popped := 0 // states dequeued before this level, fixing serial pop indices
+	queue := []state{init}
+	visited := map[string]visitEntry{string(init): {sig: -1}}
 	hazardSeen := map[string]bool{}
 
-	for len(frontier) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		recs := make([]stateRec, len(frontier))
-		process := func(j int) {
-			st := frontier[j]
-			rec := &recs[j]
-			rec.key = string(st)
-			excited := m.excited(st)
-			if len(excited) == 0 {
-				rec.deadlock = true
-				return
-			}
-			enabled := m.prioritize(st, excited)
-			fire := enabled
-			if !opts.NoReduce {
-				t, notes := m.persistentSingleton(st, enabled)
-				if t >= 0 {
-					fire = enabled[t : t+1]
-				}
-				rec.notes = notes
-			}
-			k := uint64(popped+j) + 1
-			for t, i := range fire {
-				ns, viol := m.fire(st, i)
-				if viol != nil {
-					rec.viol, rec.violSig = viol, i
-					return
-				}
-				key := string(ns)
-				prio := k<<prioShift | uint64(t)
-				visited.Update(key, func(old visitEntry, ok bool) (visitEntry, bool) {
-					return visitEntry{prio: prio, prev: rec.key, sig: int32(i)}, !ok || prio < old.prio
-				})
-				rec.succs = append(rec.succs, succRef{key, prio})
-			}
-		}
-		// Small frontiers run inline: per-state work is microseconds, so
-		// fanning out below a couple of states per worker costs more than
-		// it saves (and the inline path is the same code either way).
-		if workers == 1 || len(frontier) < 2*workers {
-			for j := range frontier {
-				process(j)
-			}
-		} else {
-			slabs := par.Slabs(len(frontier), workers)
-			if err := par.ForEach(ctx, len(slabs), func(ctx context.Context, si int) error {
-				for j := slabs[si][0]; j < slabs[si][1]; j++ {
-					process(j)
-				}
-				return ctx.Err()
-			}); err != nil {
+	for len(queue) > 0 {
+		if res.States%1024 == 0 {
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
+		st := queue[0]
+		queue = queue[1:]
+		if res.States == max {
+			res.Truncated = true
+			return res, nil
+		}
+		res.States++
 
-		// Ordered merge: replay the serial pop sequence over the records.
-		var next []state
-		for j := range recs {
-			rec := &recs[j]
-			res.States++
-			if res.States > max {
-				res.Truncated = true
-				res.States--
+		excited := m.excited(st)
+		if len(excited) == 0 {
+			res.Violation = &Violation{Rule: RuleDeadlock,
+				Msg: "reachable marking enables no transition (handshake deadlock)"}
+			m.attachTrace(res.Violation, visited, st, -1)
+			return res, nil
+		}
+		fire := m.prioritize(st, excited)
+		if !opts.NoReduce {
+			t, notes := m.persistentSingleton(st, fire)
+			if t >= 0 {
+				fire = fire[t : t+1]
+			}
+			m.noteHazards(res, hazardSeen, notes)
+		}
+		for _, i := range fire {
+			ns, viol := m.fire(st, i)
+			if viol != nil {
+				m.attachTrace(viol, visited, st, i)
+				res.Violation = viol
 				return res, nil
 			}
-			if rec.deadlock {
-				res.Violation = &Violation{Rule: RuleDeadlock,
-					Msg: "reachable marking enables no transition (handshake deadlock)"}
-				m.attachTrace(res.Violation, visited, rec.key, -1)
-				return res, nil
-			}
-			if !opts.NoReduce {
-				m.noteHazards(res, hazardSeen, rec.notes)
-			}
-			for _, sr := range rec.succs {
-				if e, ok := visited.Get(sr.key); ok && e.prio == sr.prio {
-					next = append(next, state(sr.key))
-				}
-			}
-			if rec.viol != nil {
-				m.attachTrace(rec.viol, visited, rec.key, rec.violSig)
-				res.Violation = rec.viol
-				return res, nil
+			if _, seen := visited[string(ns)]; !seen {
+				visited[string(ns)] = visitEntry{prev: st, sig: int32(i)}
+				queue = append(queue, ns)
 			}
 		}
-		popped += len(frontier)
-		frontier = next
 	}
-
-	if res.Violation == nil && !res.Truncated {
-		res.DeadlockFree, res.Safe, res.FlowEquivalent = true, true, true
-	}
+	res.DeadlockFree, res.Safe, res.FlowEquivalent = true, true, true
 	return res, nil
 }
 
@@ -626,24 +534,21 @@ func (m *Model) noteHazards(res *Result, seen map[string]bool, notes []string) {
 }
 
 // attachTrace reconstructs the firing sequence from the initial marking to
-// the violation's enabling marking (plus the violating event itself) and
-// decodes that marking for the report. The parent edges come from the
-// visited set; every ancestor's entry is final by the time a violation is
-// merged (later discoveries carry higher occurrence priorities and lose).
-func (m *Model) attachTrace(v *Violation, visited *par.Striped[visitEntry], key string, lastSig int) {
-	enab := state(key)
+// the violation's enabling marking enab (plus the violating event itself)
+// and decodes that marking for the report.
+func (m *Model) attachTrace(v *Violation, visited map[string]visitEntry, enab state, lastSig int) {
 	v.Marking, v.Gens = m.DecodeMarking(enab)
 	var events []TraceEvent
 	if lastSig >= 0 {
 		events = append(events, TraceEvent{Net: m.sigs[lastSig].name, Value: !enab.bit(lastSig)})
 	}
-	for key != "" {
-		e, ok := visited.Get(key)
+	for st := enab; ; {
+		e, ok := visited[string(st)]
 		if !ok || e.sig < 0 {
 			break
 		}
-		events = append(events, TraceEvent{Net: m.sigs[e.sig].name, Value: state(key).bit(int(e.sig))})
-		key = e.prev
+		events = append(events, TraceEvent{Net: m.sigs[e.sig].name, Value: st.bit(int(e.sig))})
+		st = e.prev
 	}
 	// Collected backwards; reverse into firing order.
 	for l, r := 0, len(events)-1; l < r; l, r = l+1, r-1 {

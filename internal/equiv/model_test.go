@@ -43,6 +43,9 @@ func converted(t testing.TB, spec string) *netlist.Design {
 	return d
 }
 
+// Converted is converted for the external test package.
+var Converted = converted
+
 // TestDLXClean is the end-to-end proof the issue asks for: the flow's DLX
 // output model-checks clean — deadlock-free, phase-safe and flow
 // equivalent — within the default state budget.

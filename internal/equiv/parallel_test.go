@@ -22,10 +22,12 @@ func jsonOf(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
-// TestExploreParallelDeterministic is the determinism contract of the
-// parallel engine: the DLX exploration at GOMAXPROCS 1, 4 and the host's
-// default must visit exactly the same reduced state space (pinned at
-// dlxStates) and produce byte-identical JSON reports.
+// TestExploreParallelDeterministic is the explorer's determinism contract:
+// the report is a function of the model and the options alone, so the DLX
+// exploration at GOMAXPROCS 1, 4 and the host's default visits exactly the
+// same reduced state space (pinned at dlxStates) and renders byte-identical
+// JSON. Go randomizes map iteration on every range, so a search order that
+// came to depend on the visited map would fail here.
 func TestExploreParallelDeterministic(t *testing.T) {
 	mod := converted(t, "dlx").Top
 	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
@@ -54,9 +56,9 @@ func TestExploreParallelDeterministic(t *testing.T) {
 }
 
 // TestExploreParallelCounterexampleIdentical pins the other half of the
-// contract: on a broken network the parallel search must reconstruct the
-// exact same counterexample — same violated rule, same firing sequence,
-// same enabling marking — as the serial one.
+// contract: on a broken network every exploration reconstructs the exact
+// same counterexample — same violated rule, same firing sequence, same
+// enabling marking — whatever GOMAXPROCS the caller runs at.
 func TestExploreParallelCounterexampleIdentical(t *testing.T) {
 	mod := converted(t, "dlx").Top
 	ai := mod.Inst("G2_Mctrl/ai")
@@ -69,25 +71,25 @@ func TestExploreParallelCounterexampleIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	serial := mustExplore(t, m, ExploreOptions{})
-	if serial.Violation == nil {
-		t.Fatal("serial search missed the cut acknowledge")
+	first := mustExplore(t, m, ExploreOptions{})
+	if first.Violation == nil {
+		t.Fatal("search missed the cut acknowledge")
 	}
 	for _, p := range []int{2, 4} {
 		runtime.GOMAXPROCS(p)
-		par := mustExplore(t, m, ExploreOptions{})
-		if par.States != serial.States {
-			t.Fatalf("GOMAXPROCS %d explored %d states, serial %d", p, par.States, serial.States)
+		again := mustExplore(t, m, ExploreOptions{})
+		if again.States != first.States {
+			t.Fatalf("GOMAXPROCS %d explored %d states, GOMAXPROCS 1 %d", p, again.States, first.States)
 		}
-		if !reflect.DeepEqual(par.Violation, serial.Violation) {
-			t.Fatalf("GOMAXPROCS %d counterexample differs:\n%+v\n---\n%+v", p, par.Violation, serial.Violation)
+		if !reflect.DeepEqual(again.Violation, first.Violation) {
+			t.Fatalf("GOMAXPROCS %d counterexample differs:\n%+v\n---\n%+v", p, again.Violation, first.Violation)
 		}
 	}
 }
 
 // TestExploreNoReduceParallelDeterministic covers the full-interleaving
 // mode (drequiv -no-reduce) with a -max-states truncation: the truncation
-// point and flags must not move with the worker count.
+// point and flags must not move between explorations.
 func TestExploreNoReduceParallelDeterministic(t *testing.T) {
 	mod := converted(t, "dlx").Top
 	m, err := FromNetwork(mod, ctrlnet.Derive(mod))
@@ -95,14 +97,14 @@ func TestExploreNoReduceParallelDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	serial := mustExplore(t, m, ExploreOptions{NoReduce: true, MaxStates: 20_000})
-	if !serial.Truncated {
-		t.Fatalf("expected a truncated full search, got %d states", serial.States)
+	first := mustExplore(t, m, ExploreOptions{NoReduce: true, MaxStates: 20_000})
+	if !first.Truncated {
+		t.Fatalf("expected a truncated full search, got %d states", first.States)
 	}
 	runtime.GOMAXPROCS(4)
-	par := mustExplore(t, m, ExploreOptions{NoReduce: true, MaxStates: 20_000})
-	if !bytes.Equal(jsonOf(t, par), jsonOf(t, serial)) {
-		t.Fatal("-no-reduce -max-states report depends on the worker count")
+	again := mustExplore(t, m, ExploreOptions{NoReduce: true, MaxStates: 20_000})
+	if !bytes.Equal(jsonOf(t, again), jsonOf(t, first)) {
+		t.Fatal("-no-reduce -max-states report differs between explorations")
 	}
 }
 
@@ -116,7 +118,6 @@ func TestExploreCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	res, err := m.Explore(ctx, ExploreOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

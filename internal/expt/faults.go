@@ -7,15 +7,13 @@ import (
 )
 
 // FaultCampaignConfig sizes the fault-injection campaign. Every
-// campaign runs campaignCycles original clock periods and slows
-// campaignDelayPerRegion of the most active datapath gates per region by
-// faults.DelayFactor.
+// campaign runs faults.DefaultCycles original clock periods and slows
+// faults.DefaultDelayPerRegion of the most active datapath gates per region
+// by faults.DelayFactor.
 type FaultCampaignConfig struct {
 	// Glitches adds the pulse faults (informative: glitches may escape).
 	Glitches bool
 }
-
-const campaignCycles, campaignDelayPerRegion = 12, 2
 
 // NewCampaign arms the flow's fault campaign on a converted design, driven
 // under its reset contract at its original clock period; cycles <= 0 runs
@@ -30,15 +28,15 @@ func NewCampaign(ctx context.Context, f *Flow, cycles int) (*faults.Campaign, er
 // require, on the DLX — that every under-margin delay fault and every
 // control stuck-at fault is detected.
 func RunFaultCampaign(ctx context.Context, f *Flow, cfg FaultCampaignConfig) (*faults.Report, error) {
-	c, err := NewCampaign(ctx, f, campaignCycles)
+	c, err := NewCampaign(ctx, f, faults.DefaultCycles)
 	if err != nil {
 		return nil, err
 	}
-	list := c.DelayFaults(faults.DelayFactor, campaignDelayPerRegion)
+	list := c.DelayFaults(faults.DelayFactor, faults.DefaultDelayPerRegion)
 	list = append(list, c.ControlStuckFaults()...)
 	if cfg.Glitches {
 		// Pulses land mid-run, well past the boot transient.
-		mid := 2 + f.Period*campaignCycles*3
+		mid := 2 + f.Period*faults.DefaultCycles*3
 		list = append(list, c.GlitchFaults(mid, 0.3)...)
 	}
 	return c.Run(ctx, list)

@@ -68,7 +68,7 @@ func RobustnessSurface(ctx context.Context, f *Flow, cfg SurfaceConfig) (*sweep.
 		cfg.DelayFactor = faults.DelayFactor
 	}
 	if cfg.DelayPerRegion == 0 {
-		cfg.DelayPerRegion = campaignDelayPerRegion
+		cfg.DelayPerRegion = faults.DefaultDelayPerRegion
 	}
 	c, err := NewCampaign(ctx, f, cfg.Cycles)
 	if err != nil {

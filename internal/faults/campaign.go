@@ -17,6 +17,11 @@ import (
 // covers the path.
 const DelayFactor = 40
 
+// DefaultCycles is the flow's campaign length in original clock periods,
+// and DefaultDelayPerRegion how many of each region's most active datapath
+// gates it delay-faults.
+const DefaultCycles, DefaultDelayPerRegion = 12, 2
+
 // Every run, golden and faulted, simulates at campaignCorner with every
 // watchdog armed, the latch setup monitor included; only a scenario's
 // Scale moves the operating point.
@@ -61,7 +66,7 @@ type Campaign struct {
 
 // NewCampaign arms a campaign on a converted design: stim starts every run
 // (the flow passes its driver's Start), runs last 2 ns plus six times
-// cycles clock periods (12 when cycles <= 0), and the deadlock watchdog's
+// cycles clock periods (DefaultCycles when cycles <= 0), and the deadlock watchdog's
 // quiescence gap is eight periods. It runs the unfaulted reference with
 // every watchdog armed: a clean design must produce zero diagnostics, and
 // anything else is a stimulus or flow bug, reported here rather than
@@ -72,7 +77,7 @@ func NewCampaign(ctx context.Context, m *netlist.Module, stim func(*sim.Simulato
 		return nil, err
 	}
 	if cycles <= 0 {
-		cycles = 12
+		cycles = DefaultCycles
 	}
 	c := &Campaign{M: m, stim: stim, horizon: 2 + period*float64(cycles)*6, gap: 8 * period, cn: ctrlnet.Derive(m)}
 

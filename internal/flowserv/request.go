@@ -13,6 +13,7 @@ import (
 	"desync/internal/netlist"
 	"desync/internal/stdcells"
 	"desync/internal/verilog"
+	"desync/internal/vflow"
 )
 
 // cacheKeyVersion is folded into every cache key so a change to the flow's
@@ -53,9 +54,11 @@ type FlowOptions struct {
 	EquivMaxStates int `json:"equivMaxStates,omitempty"`
 	// Faults runs the fault-injection campaign and attaches its report.
 	Faults bool `json:"faults,omitempty"`
-	// FaultCycles is the campaign run length in clock periods; 0 means 12.
+	// FaultCycles is the campaign run length in clock periods; 0 means
+	// vflow.DefaultFaultCycles.
 	FaultCycles int `json:"faultCycles,omitempty"`
-	// FaultsPerRegion is the delay faults injected per region; 0 means 2.
+	// FaultsPerRegion is the delay faults injected per region; 0 means
+	// vflow.DefaultFaultsPerRegion.
 	FaultsPerRegion int `json:"faultsPerRegion,omitempty"`
 }
 
@@ -116,10 +119,10 @@ func (o FlowOptions) Canonicalize() (FlowOptions, error) {
 		c.Faults = false
 	}
 	if c.FaultCycles == 0 {
-		c.FaultCycles = 12
+		c.FaultCycles = vflow.DefaultFaultCycles
 	}
 	if c.FaultsPerRegion == 0 {
-		c.FaultsPerRegion = 2
+		c.FaultsPerRegion = vflow.DefaultFaultsPerRegion
 	}
 	if !c.Faults {
 		// Fault knobs are inert without the campaign; normalize them away

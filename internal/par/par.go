@@ -3,8 +3,9 @@
 // the flow actually depends on — determinism. The worker count is one rule
 // owned here, Workers, not an option threaded through callers: set
 // GOMAXPROCS to bound it. Every kernel built on this package (fault
-// campaigns, the equiv frontier search, per-region STA extraction) must
-// produce byte-identical reports at any worker count, so the primitives
+// campaigns, equiv cross-validation, the robustness sweep, per-region STA
+// extraction) must produce byte-identical reports at any worker count, so
+// the primitives
 // here separate *computing* results (any order, any goroutine) from
 // *merging* them (always in task-index order, always on the caller's
 // goroutine). Callers keep per-task results in index-addressed slots and
@@ -120,31 +121,4 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 		return nil, err
 	}
 	return out, nil
-}
-
-// Slabs partitions [0, n) into at most k contiguous half-open ranges of
-// near-equal size, for batch kernels that want one task per slab instead of
-// one per element. The ranges cover [0, n) exactly, in order.
-func Slabs(n, k int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	if k <= 0 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	out := make([][2]int, 0, k)
-	size, rem := n/k, n%k
-	lo := 0
-	for i := 0; i < k; i++ {
-		hi := lo + size
-		if i < rem {
-			hi++
-		}
-		out = append(out, [2]int{lo, hi})
-		lo = hi
-	}
-	return out
 }

@@ -150,79 +150,3 @@ func TestMapError(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 }
-
-func TestSlabs(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want [][2]int
-	}{
-		{0, 4, nil},
-		{3, 1, [][2]int{{0, 3}}},
-		{3, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
-		{10, 3, [][2]int{{0, 4}, {4, 7}, {7, 10}}},
-		{8, 4, [][2]int{{0, 2}, {2, 4}, {4, 6}, {6, 8}}},
-	}
-	for _, c := range cases {
-		got := Slabs(c.n, c.k)
-		if len(got) != len(c.want) {
-			t.Fatalf("Slabs(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("Slabs(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
-			}
-		}
-	}
-	// Any n,k: slabs tile [0,n) exactly.
-	for n := 1; n < 50; n++ {
-		for k := 1; k < 10; k++ {
-			prev := 0
-			for _, s := range Slabs(n, k) {
-				if s[0] != prev || s[1] <= s[0] {
-					t.Fatalf("Slabs(%d,%d): bad slab %v", n, k, s)
-				}
-				prev = s[1]
-			}
-			if prev != n {
-				t.Fatalf("Slabs(%d,%d): covers up to %d", n, k, prev)
-			}
-		}
-	}
-}
-
-func TestStripedInsertIfMin(t *testing.T) {
-	// Concurrent workers race to claim keys with different priorities; the
-	// minimum must win for every key, at any stripe/worker count.
-	s := NewStriped[uint64](8)
-	const keys, writers = 200, 8
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(writers))
-	err := ForEach(context.Background(), writers, func(_ context.Context, w int) error {
-		for k := 0; k < keys; k++ {
-			key := fmt.Sprintf("k%03d", k)
-			prio := uint64(w*1000 + k)
-			s.Update(key, func(old uint64, ok bool) (uint64, bool) {
-				return prio, !ok || prio < old
-			})
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Len(); got != keys {
-		t.Fatalf("Len = %d, want %d", got, keys)
-	}
-	for k := 0; k < keys; k++ {
-		v, ok := s.Get(fmt.Sprintf("k%03d", k))
-		if !ok || v != uint64(k) {
-			t.Fatalf("key %d: got %d,%v want %d", k, v, ok, k)
-		}
-	}
-}
-
-func TestStripedGetMissing(t *testing.T) {
-	s := NewStriped[int](1)
-	if v, ok := s.Get("nope"); ok || v != 0 {
-		t.Fatalf("got %d,%v", v, ok)
-	}
-}

@@ -169,7 +169,7 @@ func (r *runner) faultsGate(ctx context.Context) error {
 	}
 	perRegion := o.FaultsPerRegion
 	if perRegion <= 0 {
-		perRegion = 2
+		perRegion = faults.DefaultDelayPerRegion
 	}
 	c, err := faults.NewCampaign(ctx, d.Top, faults.NewDriver(d.Top, r.Result.Reset, 0, nil).Start, period, o.FaultCycles)
 	if err != nil {

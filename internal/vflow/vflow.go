@@ -38,6 +38,10 @@ const (
 	GateFaults    = "faults"
 )
 
+// DefaultFaultCycles and DefaultFaultsPerRegion size the fault gate's
+// campaign where Options leaves them zero.
+const DefaultFaultCycles, DefaultFaultsPerRegion = faults.DefaultCycles, faults.DefaultDelayPerRegion
+
 // Status is how a gate was decided.
 type Status string
 
@@ -75,8 +79,9 @@ type Options struct {
 	EquivXval int
 	EquivSeed int64
 	// Faults runs the delay and control stuck-at fault campaign;
-	// FaultCycles is its run length in clock periods (0: 12) and
-	// FaultsPerRegion its delay faults per region (0: 2).
+	// FaultCycles is its run length in clock periods (0:
+	// DefaultFaultCycles) and FaultsPerRegion its delay faults per region
+	// (0: DefaultFaultsPerRegion).
 	Faults          bool
 	FaultCycles     int
 	FaultsPerRegion int
